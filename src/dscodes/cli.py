@@ -10,8 +10,6 @@ validation errors.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import os
 import sys
 import time
 from pathlib import Path
@@ -92,45 +90,10 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _distance_layer(payload: tuple[tuple[str, ...], int]) -> tuple[int, int | None, int | None]:
-    """One exhaustive weight layer; returns (w, pure hit, logical hit)."""
-    gen_strings, w = payload
-    code = StabilizerCode.from_strings(gen_strings)
-    checkset = CheckSet.from_code(code)
-    basis = code.row_basis
-    pure_hit = None
-    logical_hit = None
-    for e, s, _ in code_mod.iter_error_syndromes(checkset, w, w):
-        if s == 0:
-            pure_hit = w
-            if not basis.contains(e):
-                logical_hit = w
-                break
-    return w, pure_hit, logical_hit
-
-
 def _cmd_distance(args) -> int:
     code = _load_code_arg(args.code)
     cutoff = args.cutoff if args.cutoff is not None else code.n
-    if cutoff > code.n:
-        raise _UsageError(f"cutoff {cutoff} exceeds qubit count {code.n}")
-    threads = int(os.environ.get("DSCODES_THREADS", "1"))
-    if threads > 1:
-        gen_strings = tuple(str(g) for g in code.generators)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            layers = list(
-                pool.map(_distance_layer, [(gen_strings, w) for w in range(1, cutoff + 1)])
-            )
-        d = None
-        d_pure = None
-        for w, pure_hit, logical_hit in sorted(layers):
-            if d_pure is None and pure_hit is not None:
-                d_pure = pure_hit
-            if logical_hit is not None:
-                d = logical_hit
-                break
-    else:
-        d, d_pure = code_mod.scan_distances(code, cutoff)
+    d, d_pure = code_mod.scan_distances(code, cutoff)
     d_text = str(d) if d is not None else f">{cutoff}"
     dp_text = str(d_pure) if d_pure is not None else f">{cutoff}"
     print(f"d={d_text} d_pure={dp_text}", file=args.out)

@@ -125,15 +125,14 @@ class StabilizerCode:
             raise DimensionError(f"vector length {e.n}, expected {2 * self.n}")
         return self.row_basis.contains(e.bits)
 
+    def element(self, mask: int) -> PauliString:
+        """Product of the generators selected by the set bits of ``mask``."""
+        selected = (g for i, g in enumerate(self.generators) if (mask >> i) & 1)
+        return functools.reduce(multiply, selected, PauliString.identity(self.n))
+
     def elements(self) -> Iterator[PauliString]:
         """All 2^(n-k) stabilizer elements, by generator subset."""
-        r = len(self.generators)
-        for mask in range(1 << r):
-            p = PauliString.identity(self.n)
-            for i in range(r):
-                if (mask >> i) & 1:
-                    p = multiply(p, self.generators[i])
-            yield p
+        return map(self.element, range(1 << len(self.generators)))
 
 
 @dataclass(frozen=True)
@@ -258,14 +257,14 @@ def observed_syndrome(checkset: CheckSet, fault: Fault) -> BitVector:
 def iter_error_syndromes(
     checkset: CheckSet, min_weight: int, max_weight: int
 ) -> Iterator[tuple[int, int, int]]:
-    """Yield (error bits, syndrome bits, weight) over all nonzero Pauli errors.
+    """Yield (error bits, syndrome bits, weight) over all Pauli errors.
 
     Errors are enumerated by increasing Pauli weight between the given
-    bounds (both at least 1), qubit subsets in combination order, types X
-    before Y before Z.  Callers wanting the identity handle it themselves.
+    bounds, qubit subsets in combination order, types X before Y before Z.
+    ``min_weight=0`` yields the identity ``(0, 0, 0)`` first.
     """
-    if min_weight < 1:
-        raise ValueError("min_weight must be at least 1")
+    if min_weight < 0:
+        raise ValueError("min_weight must be nonnegative")
 
     def walk() -> Iterator[tuple[int, int, int]]:
         n = checkset.n

@@ -9,7 +9,6 @@ part never touches the encoded state.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .code import CheckSet, Fault, iter_error_syndromes
 from .symplectic import BitVector, DimensionError
-from .verify import FaultBudget, check_global
+from .verify import FaultBudget, check_global, iter_faults
 
 __all__ = [
     "NoiseModel",
@@ -57,28 +56,6 @@ def _table_key(e_bits: int, f_bits: int, dw: int, fw: int, n: int, m: int):
     return (dw + fw, _reversed_bits(e_bits, 2 * n), _reversed_bits(f_bits, m))
 
 
-def _iter_budget_faults(checkset: CheckSet, budget: FaultBudget):
-    """Yield (e_bits, syndrome_bits, data_w, f_bits, flip_w) within budget."""
-    m = checkset.m
-    flip_layers: list[list[int]] = [[0]]
-    for w in range(1, budget.flip_max + 1):
-        flip_layers.append(
-            [sum(1 << i for i in bits) for bits in itertools.combinations(range(m), w)]
-        )
-
-    def emit(e: int, s: int, dw: int):
-        for fw in range(budget.flip_max + 1):
-            if not budget.admits(dw, fw):
-                break
-            for f in flip_layers[fw]:
-                yield e, s, dw, f, fw
-
-    yield from emit(0, 0, 0)
-    if budget.data_max >= 1:
-        for e, s, dw in iter_error_syndromes(checkset, 1, budget.data_max):
-            yield from emit(e, s, dw)
-
-
 @dataclass(frozen=True)
 class SyndromeTable:
     """Observed syndrome -> minimal representative fault, for one budget.
@@ -111,12 +88,13 @@ def build_table(checkset: CheckSet, budget: FaultBudget) -> SyndromeTable:
     n = checkset.n
     m = checkset.m
     best: dict[int, tuple[tuple, int, int]] = {}
-    for e, s, dw, f, fw in _iter_budget_faults(checkset, budget):
-        key = _table_key(e, f, dw, fw, n, m)
-        observed = s ^ f
-        held = best.get(observed)
-        if held is None or key < held[0]:
-            best[observed] = (key, e, f)
+    for e, s, dw, flips in iter_faults(checkset, budget):
+        for f in flips:
+            key = _table_key(e, f, dw, f.bit_count(), n, m)
+            observed = s ^ f
+            held = best.get(observed)
+            if held is None or key < held[0]:
+                best[observed] = (key, e, f)
     entries = {
         observed: Fault(BitVector(e, 2 * n), BitVector(f, m))
         for observed, (_, e, f) in best.items()
@@ -151,29 +129,40 @@ class NoiseModel:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
 
+def _fault_bits(model: NoiseModel, u: list[float], n: int) -> tuple[int, int]:
+    """(error bits, flip bits) from n + m uniforms: qubits, then syndrome bits.
+
+    ``u`` holds Python floats (``ndarray.tolist()``), which compare much
+    faster than numpy scalars.
+    """
+    x = 0
+    z = 0
+    third = model.p / 3.0
+    for qb in range(n):
+        v = u[qb]
+        if v < third:
+            x |= 1 << qb
+        elif v < 2 * third:
+            x |= 1 << qb
+            z |= 1 << qb
+        elif v < model.p:
+            z |= 1 << qb
+    flips = 0
+    q = model.q
+    for i in range(len(u) - n):
+        if u[n + i] < q:
+            flips |= 1 << i
+    return x | (z << n), flips
+
+
 def sample_fault(
     model: NoiseModel, n: int, m: int, rng: np.random.Generator | None = None
 ) -> Fault:
     """Draw one joint fault; n + m uniforms are consumed in index order."""
     if rng is None:
         rng = model.rng()
-    u = rng.random(n + m)
-    x = 0
-    z = 0
-    third = model.p / 3.0
-    for q in range(n):
-        if u[q] < third:
-            x |= 1 << q
-        elif u[q] < 2 * third:
-            x |= 1 << q
-            z |= 1 << q
-        elif u[q] < model.p:
-            z |= 1 << q
-    flips = 0
-    for i in range(m):
-        if u[n + i] < model.q:
-            flips |= 1 << i
-    return Fault(BitVector(x | (z << n), 2 * n), BitVector(flips, m))
+    e_bits, flips = _fault_bits(model, rng.random(n + m).tolist(), n)
+    return Fault(BitVector(e_bits, 2 * n), BitVector(flips, m))
 
 
 def ml_decode(
@@ -205,12 +194,11 @@ def ml_decode(
 
     classes: dict[int, float] = {}
     reps: dict[int, tuple[tuple, int, int]] = {}
-
-    def consider(e: int, s: int, dw: int) -> None:
+    for e, s, dw in iter_error_syndromes(checkset, 0, budget_cap):
         f = s ^ observed.bits
         fw = f.bit_count()
         if dw + fw > budget_cap:
-            return
+            continue
         weight = (p3**dw) * (one_p ** (n - dw)) * (q**fw) * (one_q ** (m - fw))
         coset = reduce(e)
         classes[coset] = classes.get(coset, 0.0) + weight
@@ -218,11 +206,6 @@ def ml_decode(
         held = reps.get(coset)
         if held is None or key < held[0]:
             reps[coset] = (key, e, f)
-
-    consider(0, 0, 0)
-    if budget_cap >= 1:
-        for e, s, dw in iter_error_syndromes(checkset, 1, budget_cap):
-            consider(e, s, dw)
     if not classes:
         return None
     best_coset = min(classes, key=lambda c: (-classes[c], reps[c][0]))
@@ -257,6 +240,9 @@ class TrialStats:
         return self.logical_errors / self.trials
 
 
+_DRAW_BLOCK = 4096  # trials whose uniforms run_trials draws at once
+
+
 def run_trials(
     checkset: CheckSet,
     decoder: Callable[[BitVector], Fault | None],
@@ -265,43 +251,27 @@ def run_trials(
 ) -> TrialStats:
     """Monte Carlo estimate of decoder performance under the noise model.
 
-    Reproducible bit for bit: trial i consumes the same uniforms whether
-    trials run in any order, since all randomness comes from one stream
-    consumed in fixed-size blocks.
+    Reproducible bit for bit: trial i consumes the same uniforms as the
+    i-th of a run of :func:`sample_fault` calls on one generator, since
+    all randomness comes from one stream drawn in blocks of
+    ``_DRAW_BLOCK`` trials, which bounds memory in the trial count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n = checkset.n
     m = checkset.m
     rng = model.rng()
-    draws = rng.random((trials, n + m))
     basis = checkset.code.row_basis
     logical = 0
     flagged = 0
-    third = model.p / 3.0
-    p = model.p
-    q = model.q
-    for row in draws:
-        x = 0
-        z = 0
-        for qb in range(n):
-            u = row[qb]
-            if u < third:
-                x |= 1 << qb
-            elif u < 2 * third:
-                x |= 1 << qb
-                z |= 1 << qb
-            elif u < p:
-                z |= 1 << qb
-        flips = 0
-        for i in range(m):
-            if row[n + i] < q:
-                flips |= 1 << i
-        e_bits = x | (z << n)
-        observed = BitVector(checkset.syndrome_int(e_bits) ^ flips, m)
-        correction = decoder(observed)
-        if correction is None:
-            flagged += 1
-        elif not basis.contains(correction.data.bits ^ e_bits):
-            logical += 1
+    for start in range(0, trials, _DRAW_BLOCK):
+        block = rng.random((min(_DRAW_BLOCK, trials - start), n + m))
+        for row in block.tolist():
+            e_bits, flips = _fault_bits(model, row, n)
+            observed = BitVector(checkset.syndrome_int(e_bits) ^ flips, m)
+            correction = decoder(observed)
+            if correction is None:
+                flagged += 1
+            elif not basis.contains(correction.data.bits ^ e_bits):
+                logical += 1
     return TrialStats(trials, logical, flagged)

@@ -151,11 +151,7 @@ def double_construction(code: StabilizerCode) -> CheckSet:
     gens = code.generators
     total = functools.reduce(multiply, gens)
     selector = phf_matrix(r)
-    identity = PauliString.identity(code.n)
-    n_block = tuple(
-        functools.reduce(multiply, (gens[j] for j in selector.row_selector(i)), identity)
-        for i in range(selector.m)
-    )
+    n_block = tuple(map(code.element, selector.entries.rows))
     operators = gens + (total, total, total) + n_block + n_block
     checkset = CheckSet(code, operators)
     assert checkset.m == r + 3 + 2 * selector.m
@@ -226,13 +222,7 @@ def random_augment(
     for attempt in range(cfg.max_attempts):
         rng = _attempt_rng(cfg.seed, attempt)
         masks = rng.integers(0, 1 << r, size=m, dtype=np.uint64)
-        ops = []
-        for mask in masks.tolist():
-            p = PauliString.identity(code.n)
-            for i in range(r):
-                if (mask >> i) & 1:
-                    p = multiply(p, code.generators[i])
-            ops.append(p)
+        ops = [code.element(mask) for mask in masks.tolist()]
         basis = RowBasis(op.error_vector().bits for op in ops)
         if basis.rank != r:
             rejections["rank"] += 1
@@ -273,16 +263,7 @@ def transform_generators(code: StabilizerCode, transform: tuple[int, ...]) -> Ch
         raise ValueError(f"transform needs {r} rows, got {len(transform)}")
     if RowBasis(transform).rank != r:
         raise ValueError("transform is singular")
-    identity = PauliString.identity(code.n)
-    ops = tuple(
-        functools.reduce(
-            multiply,
-            (code.generators[i] for i in range(r) if (mask >> i) & 1),
-            identity,
-        )
-        for mask in transform
-    )
-    return CheckSet(code, ops)
+    return CheckSet(code, tuple(map(code.element, transform)))
 
 
 def generator_resynthesis(

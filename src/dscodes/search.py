@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import StabilizerCode, scan_distances
+from .code import StabilizerCode, _swap_halves, scan_distances
 from .symplectic import PauliString, RowBasis
 
 __all__ = ["SearchOutcome", "find_distance_code"]
@@ -52,11 +52,6 @@ def _bits_to_word(bits: np.ndarray) -> int:
     for i, b in enumerate(bits.tolist()):
         word |= int(b) << i
     return word
-
-
-def _swap_halves(word: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return (word >> n) | ((word & mask) << n)
 
 
 def _error_candidates(n: int, max_weight: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Exhaustive verifiers for joint data/syndrome error correction.
 
-``check_global`` enumerates every admissible fault, groups observed
-syndromes, and demands that faults sharing a syndrome have data parts that
-differ only by a stabilizer element (identical action on the encoded
-state).  ``lemma1_check`` tests the cheaper sufficient condition that low
-weight data errors either have heavy syndromes or are stabilizer elements.
-``oa_check`` verifies the uniform local-action statistics of a stabilizer,
-and the bound predicates live in :mod:`dscodes.bounds`.
+``iter_faults`` enumerates every fault a :class:`FaultBudget` admits; it
+is the one fault loop behind ``check_global`` and the syndrome tables.
+``check_global`` groups those faults by observed syndrome and demands that
+faults sharing a syndrome have data parts that differ only by a stabilizer
+element (identical action on the encoded state).  ``lemma1_check`` tests
+the cheaper sufficient condition that low weight data errors either have
+heavy syndromes or are stabilizer elements.
+``oa_check`` verifies the uniform local-action statistics of a stabilizer.
+The bound predicates live in :mod:`dscodes.bounds`.
 """
 
 from __future__ import annotations
@@ -14,23 +16,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
-from .bounds import BoundReport, hybrid_hamming, symmetric_hamming  # re-exported
 from .code import CheckSet, Fault, StabilizerCode, iter_error_syndromes, pure_distance
 from .symplectic import BitVector, DimensionError
 
 __all__ = [
-    "BoundReport",
     "CandidateCapError",
     "CollisionReport",
     "FaultBudget",
     "check_global",
     "equivalent_data",
     "fault_count",
-    "hybrid_hamming",
+    "iter_faults",
     "lemma1_check",
     "oa_check",
-    "symmetric_hamming",
 ]
 
 
@@ -44,12 +44,16 @@ class FaultBudget:
 
     ``symmetric(t)`` admits faults with data weight + flip weight <= t.
     ``asymmetric(a, b)`` admits data weight <= a and flip weight <= b
-    independently, mixed faults included.
+    independently, mixed faults included.  Negative weights are refused.
     """
 
     data_max: int
     flip_max: int
     combined_max: int | None = None
+
+    def __post_init__(self) -> None:
+        if min(self.data_max, self.flip_max, self.combined_max or 0) < 0:
+            raise ValueError(f"fault budget {self} has a negative weight")
 
     @classmethod
     def symmetric(cls, t: int) -> "FaultBudget":
@@ -64,13 +68,13 @@ class FaultBudget:
         """Parse ``sym:t`` or ``asym:a,b``."""
         kind, _, arg = text.partition(":")
         try:
-            if kind == "sym":
-                return cls.symmetric(int(arg))
-            if kind == "asym":
-                a, b = arg.split(",")
-                return cls.asymmetric(int(a), int(b))
+            weights = [int(w) for w in arg.split(",")]
         except ValueError:
-            pass
+            weights = []
+        if kind == "sym" and len(weights) == 1:
+            return cls.symmetric(*weights)
+        if kind == "asym" and len(weights) == 2:
+            return cls.asymmetric(*weights)
         raise ValueError(f"cannot parse fault budget {text!r}; want sym:t or asym:a,b")
 
     def admits(self, data_weight: int, flip_weight: int) -> bool:
@@ -137,19 +141,25 @@ def _fault_key(e_bits: int, f_bits: int, n: int) -> tuple[int, int, int]:
     return (e_bits == 0, _zx_interleaved(e_bits, n), f_bits)
 
 
-def _iter_faults(checkset: CheckSet, budget: FaultBudget):
-    """Yield (e_bits, syndrome_bits, data_weight) with the identity first."""
-    yield 0, 0, 0
-    if budget.data_max >= 1:
-        yield from iter_error_syndromes(checkset, 1, budget.data_max)
+def iter_faults(
+    checkset: CheckSet, budget: FaultBudget
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """Yield (e_bits, syndrome_bits, data_weight, flip masks) within a budget.
 
-
-def _flip_patterns(m: int, max_weight: int) -> list[list[int]]:
-    """Flip masks grouped by weight: patterns[w] lists all weight-w masks."""
-    out: list[list[int]] = [[0]]
-    for w in range(1, max_weight + 1):
-        out.append([sum(1 << i for i in bits) for bits in itertools.combinations(range(m), w)])
-    return out
+    Data errors come in :func:`iter_error_syndromes` order, identity first.
+    The flip masks are every mask whose weight the budget admits next to
+    that data weight, by increasing weight and then combination order.
+    """
+    layers = [
+        [sum(1 << i for i in bits) for bits in itertools.combinations(range(checkset.m), fw)]
+        for fw in range(budget.flip_max + 1)
+    ]
+    admitted = [
+        tuple(f for fw, layer in enumerate(layers) if budget.admits(dw, fw) for f in layer)
+        for dw in range(budget.data_max + 1)
+    ]
+    for e, s, dw in iter_error_syndromes(checkset, 0, budget.data_max):
+        yield e, s, dw, admitted[dw]
 
 
 def _make_fault(e_bits: int, f_bits: int, n: int, m: int) -> Fault:
@@ -186,18 +196,13 @@ def check_global(
             f"({'pairwise ' if all_pairs else ''}cost {cost} > cap {candidate_cap})"
         )
 
-    flips = _flip_patterns(m, budget.flip_max)
     reduce = checkset.code.row_basis.reduce
 
     if all_pairs:
         faults = []
-        for e, s, dw in _iter_faults(checkset, budget):
+        for e, s, _, flips in iter_faults(checkset, budget):
             coset = reduce(e)
-            for fw in range(budget.flip_max + 1):
-                if not budget.admits(dw, fw):
-                    break
-                for f in flips[fw]:
-                    faults.append((_fault_key(e, f, n), e, f, s ^ f, coset))
+            faults.extend((_fault_key(e, f, n), e, f, s ^ f, coset) for f in flips)
         best = None
         for a, b in itertools.combinations(faults, 2):
             if a[3] != b[3] or a[4] == b[4]:
@@ -220,18 +225,15 @@ def check_global(
     # buckets: observed syndrome -> coset representative -> least fault seen
     buckets: dict[int, dict[int, tuple[tuple[int, int, int], int, int]]] = {}
     checked = 0
-    for e, s, dw in _iter_faults(checkset, budget):
+    for e, s, _, flips in iter_faults(checkset, budget):
         coset = reduce(e)
-        for fw in range(budget.flip_max + 1):
-            if not budget.admits(dw, fw):
-                break
-            for f in flips[fw]:
-                checked += 1
-                key = _fault_key(e, f, n)
-                bucket = buckets.setdefault(s ^ f, {})
-                held = bucket.get(coset)
-                if held is None or key < held[0]:
-                    bucket[coset] = (key, e, f)
+        checked += len(flips)
+        for f in flips:
+            key = _fault_key(e, f, n)
+            bucket = buckets.setdefault(s ^ f, {})
+            held = bucket.get(coset)
+            if held is None or key < held[0]:
+                bucket[coset] = (key, e, f)
 
     best_pair = None
     best_syndrome = 0

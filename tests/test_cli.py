@@ -56,10 +56,10 @@ class TestDistance:
         status, text = run(["distance", "--code", "five_qubit", "--cutoff", "2"])
         assert status == 0 and text == "d=>2 d_pure=>2\n"
 
-    def test_worker_pool_agrees(self, monkeypatch):
-        monkeypatch.setenv("DSCODES_THREADS", "2")
-        status, text = run(["distance", "--code", "five_qubit", "--cutoff", "5"])
-        assert status == 0 and text == "d=3 d_pure=3\n"
+    def test_cutoff_above_qubit_count_is_usage_error(self, capsys):
+        status, text = run(["distance", "--code", "five_qubit", "--cutoff", "6"])
+        assert status == 2 and text == ""
+        assert "error: cutoff 6 exceeds qubit count 5" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -202,6 +202,11 @@ class TestUsageErrors:
     def test_bad_budget(self):
         status, _ = run(["verify-global", "--checkset", "five_qubit", "--budget", "nope"])
         assert status == 2
+
+    def test_negative_budget_refused(self, capsys):
+        status, text = run(["verify-global", "--checkset", "five_qubit", "--budget", "sym:-1"])
+        assert status == 2 and text == ""
+        assert "negative weight" in capsys.readouterr().err
 
     def test_missing_subcommand_flag(self):
         status, _ = run(["bound", "symmetric", "--n", "5"])

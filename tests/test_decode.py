@@ -2,6 +2,7 @@ import pytest
 
 from dscodes.code import CheckSet, Fault, iter_error_syndromes, observed_syndrome
 from dscodes.decode import (
+    _DRAW_BLOCK,
     NoiseModel,
     UncorrectableBudgetError,
     build_table,
@@ -158,16 +159,17 @@ class TestRunTrials:
         stats = run_trials(augmented_five, lambda s: decode(table_ii, s), model, 5000)
         assert stats.successes + stats.logical_errors + stats.flagged_uncorrectable == 5000
 
-    def test_vectorized_stream_matches_per_trial_sampling(self, augmented_five, table_ii):
+    @pytest.mark.parametrize("trials", [400, 2 * _DRAW_BLOCK + 7])
+    def test_vectorized_stream_matches_per_trial_sampling(self, augmented_five, table_ii, trials):
         # run_trials must consume the same uniforms as a manual loop of
-        # sample_fault calls over one shared generator.
+        # sample_fault calls over one shared generator, across draw blocks.
         model = NoiseModel(p=0.08, q=0.04, seed=13)
         decoder = lambda s: decode(table_ii, s)
-        stats = run_trials(augmented_five, decoder, model, 400)
+        stats = run_trials(augmented_five, decoder, model, trials)
         rng = model.rng()
         logical = 0
         flagged = 0
-        for _ in range(400):
+        for _ in range(trials):
             fault = sample_fault(model, 5, 5, rng)
             observed = observed_syndrome(augmented_five, fault)
             got = decoder(observed)

@@ -1,9 +1,11 @@
+from math import comb
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dscodes.bounds import gv_check, hybrid_hamming, singleton_check, symmetric_hamming
-from dscodes.code import CheckSet, StabilizerCode, iter_error_syndromes
+from dscodes.code import CheckSet, StabilizerCode, five_qubit, iter_error_syndromes, steane_css
 from dscodes.redundancy import css_parity_pair, parity_augment
 from dscodes.symplectic import BitVector, parse_pauli
 from dscodes.verify import (
@@ -33,6 +35,13 @@ class TestFaultBudget:
         assert FaultBudget.parse("asym:1,0") == FaultBudget.asymmetric(1, 0)
         with pytest.raises(ValueError):
             FaultBudget.parse("both:3")
+
+    def test_negative_weights_refused(self):
+        for text in ("sym:-1", "asym:-1,0", "asym:0,-1"):
+            with pytest.raises(ValueError, match="negative weight"):
+                FaultBudget.parse(text)
+        with pytest.raises(ValueError, match="negative weight"):
+            FaultBudget(1, 1, -1)
 
     def test_fault_count(self):
         # no error + 15 single data + 4 flips on the bare five-qubit set
@@ -100,6 +109,51 @@ class TestCheckGlobal:
     def test_candidate_cap(self, bare_five):
         with pytest.raises(CandidateCapError):
             check_global(bare_five, FaultBudget.symmetric(3), candidate_cap=10)
+
+
+_CODES = (five_qubit(), steane_css())
+
+
+@st.composite
+def small_checksets(draw):
+    """Five-qubit or Steane generators plus up to three stabilizer elements."""
+    code = draw(st.sampled_from(_CODES))
+    masks = draw(st.lists(st.integers(0, (1 << len(code.generators)) - 1), max_size=3))
+    return CheckSet(code, code.generators + tuple(map(code.element, masks)))
+
+
+small_budgets = st.one_of(
+    st.integers(0, 2).map(FaultBudget.symmetric),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda ab: FaultBudget.asymmetric(*ab)),
+)
+
+
+class TestFaultEnumeration:
+    @given(small_checksets(), small_budgets)
+    @settings(max_examples=60, deadline=None)
+    def test_bucketed_matches_all_pairs(self, checkset, budget):
+        count = fault_count(budget, checkset.n, checkset.m)
+        assume(count <= 500)  # all-pairs cost is quadratic
+        fast = check_global(checkset, budget)
+        slow = check_global(checkset, budget, all_pairs=True)
+        assert (fast.ok, fast.witness, fast.syndrome, fast.faults_checked) == (
+            slow.ok,
+            slow.witness,
+            slow.syndrome,
+            slow.faults_checked,
+        )
+        assert fast.faults_checked == count
+
+    @given(small_checksets(), st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_error_syndromes_from_identity(self, checkset, w):
+        items = list(iter_error_syndromes(checkset, 0, w))
+        assert items[0] == (0, 0, 0)
+        assert len(items) == sum(comb(checkset.n, i) * 3**i for i in range(w + 1))
+
+    def test_negative_min_weight_refused(self, bare_five):
+        with pytest.raises(ValueError):
+            iter_error_syndromes(bare_five, -1, 1)
 
 
 class TestLemma1:
