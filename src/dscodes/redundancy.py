@@ -12,14 +12,13 @@ all.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .code import CheckSet, StabilizerCode, iter_error_syndromes
-from .symplectic import BitMatrix, PauliString, RowBasis, multiply
+from .symplectic import BitMatrix, RowBasis
 from .verify import FaultBudget, check_global
 
 __all__ = [
@@ -62,7 +61,7 @@ def parity_augment(code: StabilizerCode) -> CheckSet:
     data-only error, so a data error never produces a weight-1 observed
     syndrome and single syndrome flips (which do) stay distinguishable.
     """
-    extra = functools.reduce(multiply, code.generators)
+    extra = code.element((1 << len(code.generators)) - 1)
     return CheckSet(code, code.generators + (extra,))
 
 
@@ -73,19 +72,15 @@ def css_parity_pair(code: StabilizerCode) -> CheckSet:
     zero).  The two extra operators are the product of all X-type and the
     product of all Z-type generators, in that order.
     """
-    x_type: list[PauliString] = []
-    z_type: list[PauliString] = []
+    x_mask = z_mask = 0
     for i, g in enumerate(code.generators):
         if g.z == 0:
-            x_type.append(g)
+            x_mask |= 1 << i
         elif g.x == 0:
-            z_type.append(g)
+            z_mask |= 1 << i
         else:
             raise TypeError(f"generator {i} ({g}) mixes X and Z; not CSS-type")
-    n = code.n
-    x_prod = functools.reduce(multiply, x_type, PauliString.identity(n))
-    z_prod = functools.reduce(multiply, z_type, PauliString.identity(n))
-    return CheckSet(code, code.generators + (x_prod, z_prod))
+    return CheckSet(code, code.generators + (code.element(x_mask), code.element(z_mask)))
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,7 @@ def double_construction(code: StabilizerCode) -> CheckSet:
             f"construction refused: n-k = {r} < 8, impossible for a distance-5 code"
         )
     gens = code.generators
-    total = functools.reduce(multiply, gens)
+    total = code.element((1 << r) - 1)
     selector = phf_matrix(r)
     n_block = tuple(map(code.element, selector.entries.rows))
     operators = gens + (total, total, total) + n_block + n_block

@@ -15,16 +15,26 @@ that no generator detects.  Three moves drive the cost to zero:
   error the rest still miss; this either reaches cost zero or fails;
 * kicks: re-randomize a few generators to hop basins.
 
+Every vector is a Python int.  Error candidates are stored with their
+halves swapped, so a row detects one exactly when their AND has odd
+parity.  Detection is kept transposed, one bit per candidate, as in Stim
+(Gidney 2021, arXiv:2103.02202): bit t of column b is bit b of candidate
+t, and a row's *hits* (bit t set when it detects candidate t) are the XOR
+of the columns its bits select.  Hits are linear in the row, so the hits
+of a span's elements are the span of its basis's hits.
+
 Everything is driven by one seeded generator, so outcomes are
 reproducible given (seed, budget parameters).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,25 +52,8 @@ class SearchOutcome:
     certified: tuple[int | None, int | None]
 
 
-def _words_to_bits(words: Sequence[int], width: int) -> np.ndarray:
-    arr = np.asarray(list(words), dtype=np.int64)
-    return ((arr[:, None] >> np.arange(width)) & 1).astype(np.uint8)
-
-
-def _bits_to_word(bits: np.ndarray) -> int:
-    word = 0
-    for i, b in enumerate(bits.tolist()):
-        word |= int(b) << i
-    return word
-
-
-def _error_candidates(n: int, max_weight: int) -> np.ndarray:
-    """Partner-swapped error vectors of all weight 1..max_weight Paulis.
-
-    With halves swapped, the symplectic product against a generator row is
-    a plain AND-parity, so batch syndrome checks reduce to a binary matrix
-    product.
-    """
+def _error_candidates(n: int, max_weight: int) -> list[int]:
+    """Partner-swapped error vectors of all weight 1..max_weight Paulis."""
     words: list[int] = []
     for w in range(1, max_weight + 1):
         for qubits in itertools.combinations(range(n), w):
@@ -71,7 +64,26 @@ def _error_candidates(n: int, max_weight: int) -> np.ndarray:
                     x |= (t & 1) << q
                     z |= (t >> 1) << q
                 words.append(_swap_halves(x | (z << n), n))
-    return _words_to_bits(words, 2 * n)
+    return words
+
+
+def _set_bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _combine(vectors: Sequence[int], mask: int) -> int:
+    """XOR of the vectors that the set bits of ``mask`` select."""
+    return functools.reduce(operator.xor, (vectors[i] for i in _set_bits(mask)), 0)
+
+
+def _transpose(words: Sequence[int], width: int) -> list[int]:
+    """Columns of ``words``: bit t of column b is bit b of ``words[t]``."""
+    rev = words[::-1]
+    return [int("0" + "".join("1" if w >> b & 1 else "0" for w in rev), 2) for b in range(width)]
 
 
 def _solve_affine(equations: list[tuple[int, int]], width: int):
@@ -125,78 +137,75 @@ def _span_elements(basis: list[int]) -> list[int]:
     return out
 
 
-def _sample_span(rng: np.random.Generator, basis: list[int]) -> int:
-    mask = int(rng.integers(0, 1 << len(basis))) if basis else 0
-    v = 0
-    for i, b in enumerate(basis):
-        if (mask >> i) & 1:
-            v ^= b
-    return v
-
-
 class _Searcher:
     def __init__(self, n: int, k: int, target_d: int, rng: np.random.Generator) -> None:
         self.n = n
         self.r = n - k
         self.width = 2 * n
         self.rng = rng
-        self.cands = _error_candidates(n, target_d - 1)
+        self.words = _error_candidates(n, target_d - 1)
+        self.cols = _transpose(self.words, self.width)
         self.rows: list[int] = []
-        self.grid = np.zeros((self.r, self.width), dtype=np.uint8)
+        self.hits: list[int] = []
 
     def cost(self) -> int:
-        syn = (self.cands @ self.grid.T) & 1
-        return int((~syn.any(axis=1)).sum())
+        return len(self.words) - functools.reduce(operator.or_, self.hits, 0).bit_count()
 
-    def randomize(self) -> None:
-        rows: list[int] = []
-        while len(rows) < self.r:
-            basis = _commuting_basis(rows, self.n)
-            span = RowBasis(rows)
-            for _ in range(64):
-                v = _sample_span(self.rng, basis)
-                if v and not span.contains(v):
-                    rows.append(v)
-                    break
-            else:  # dead end; start over (not reachable below the symplectic bound)
-                rows.clear()
-        self.rows = rows
-        self.grid = _words_to_bits(rows, self.width)
+    def _draw_row(self, others: list[int]) -> int:
+        """Draw from the sidespace of ``others`` until independent of them;
+        with j < n rows a draw fails with probability 2^(2j-2n) <= 1/4."""
+        basis = _commuting_basis(others, self.n)
+        span = RowBasis(others)
+        while True:
+            v = _combine(basis, int(self.rng.integers(0, 1 << len(basis))))
+            if v and not span.contains(v):
+                return v
 
     def _set_row(self, i: int, v: int) -> None:
         self.rows[i] = v
-        self.grid[i] = _words_to_bits([v], self.width)[0]
+        self.hits[i] = _combine(self.cols, v)
+
+    def randomize(self) -> None:
+        self.rows = []
+        for _ in range(self.r):
+            self.rows.append(self._draw_row(self.rows))
+        self.hits = [_combine(self.cols, v) for v in self.rows]
 
     def kick(self, count: int) -> None:
         for _ in range(count):
             i = int(self.rng.integers(self.r))
-            others = [self.rows[j] for j in range(self.r) if j != i]
-            basis = _commuting_basis(others, self.n)
-            span = RowBasis(others)
-            while True:
-                v = _sample_span(self.rng, basis)
-                if v and not span.contains(v):
-                    self._set_row(i, v)
-                    break
+            self._set_row(i, self._draw_row(self.rows[:i] + self.rows[i + 1 :]))
+
+    def _options(self, freed: tuple[int, ...]):
+        """Every way to refill the slots ``freed`` while the other rows stay.
+
+        Returns the kept rows, the candidate words they all miss, every
+        element of their sidespace (in ``_span_elements`` order), each
+        element's hits on those words, and how many of them it misses.
+        """
+        kept = [t for t in range(self.r) if t not in freed]
+        others = [self.rows[t] for t in kept]
+        seen = functools.reduce(operator.or_, (self.hits[t] for t in kept), 0)
+        undetected = [self.words[t] for t in _set_bits(((1 << len(self.words)) - 1) ^ seen)]
+        basis = _commuting_basis(others, self.n)
+        cols = _transpose(undetected, self.width)
+        hits = _span_elements([_combine(cols, b) for b in basis])
+        missed = [len(undetected) - h.bit_count() for h in hits]
+        return others, undetected, _span_elements(basis), hits, missed
 
     def descend(self, max_sweeps: int = 25) -> int:
-        """Plateau coordinate descent; returns the reached cost."""
+        """Plateau coordinate descent; returns the reached cost.
+
+        Row i itself is among its options, so the best option never costs
+        more than the current state.
+        """
         best = self.cost()
         stall = 0
         for _ in range(max_sweeps):
             for i in self.rng.permutation(self.r).tolist():
-                others = [self.rows[j] for j in range(self.r) if j != i]
-                other_grid = np.delete(self.grid, i, axis=0)
-                zero_elsewhere = ~((self.cands @ other_grid.T) & 1).any(axis=1)
-                undetected = self.cands[zero_elsewhere]
-                options = _span_elements(_commuting_basis(others, self.n))
-                option_grid = _words_to_bits(options, self.width)
-                missed = ((undetected @ option_grid.T) & 1 == 0).sum(axis=0)
-                current = int(((undetected @ self.grid[i]) & 1 == 0).sum())
-                floor = int(missed.min())
-                if floor > current:
-                    continue
-                pool = np.flatnonzero(missed == floor)
+                others, _, options, _, missed = self._options((i,))
+                floor = min(missed)
+                pool = np.array([idx for idx, m in enumerate(missed) if m == floor])
                 self.rng.shuffle(pool)
                 span = RowBasis(others)
                 for idx in pool.tolist():
@@ -231,26 +240,19 @@ class _Searcher:
         order = self.rng.permutation(len(pairs))
         for pair_idx in order.tolist():
             i, j = pairs[pair_idx]
-            others = [self.rows[t] for t in range(self.r) if t not in (i, j)]
-            other_grid = np.delete(self.grid, [i, j], axis=0)
-            zero_elsewhere = ~((self.cands @ other_grid.T) & 1).any(axis=1)
-            undetected = self.cands[zero_elsewhere]
-            options = _span_elements(_commuting_basis(others, self.n))
-            option_grid = _words_to_bits(options, self.width)
-            detected = (undetected @ option_grid.T) & 1
-            missed = (detected == 0).sum(axis=0)
-            ranked = np.argsort(missed, kind="stable")[:top]
+            others, undetected, options, hits, missed = self._options((i, j))
+            ranked = sorted(range(len(options)), key=missed.__getitem__)[:top]
+            everything = (1 << len(undetected)) - 1
             span8 = RowBasis(others)
             commute_eqs = [(_swap_halves(row, self.n), 0) for row in others]
-            for idx in ranked.tolist():
-                if int(missed[idx]) > free_dim + slack:
+            for idx in ranked:
+                if missed[idx] > free_dim + slack:
                     break
                 vi = options[idx]
                 if not vi or span8.contains(vi):
                     continue
-                remaining = undetected[detected[:, idx] == 0]
                 eqs = commute_eqs + [(_swap_halves(vi, self.n), 0)]
-                eqs += [(_bits_to_word(c), 1) for c in remaining]
+                eqs += [(undetected[t], 1) for t in _set_bits(everything ^ hits[idx])]
                 solved = _solve_affine(eqs, self.width)
                 if solved is None:
                     continue
@@ -284,6 +286,8 @@ def find_distance_code(
     """
     if target_d < 2:
         raise ValueError("target distance must be at least 2")
+    if not 0 <= k < n:
+        raise ValueError(f"need 0 <= k < n, got k={k} for n={n}")
     started = time.perf_counter()
 
     def out_of_time() -> bool:

@@ -1,13 +1,17 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dscodes.code import load_code, scan_distances
 from dscodes.search import (
+    _combine,
     _commuting_basis,
     _error_candidates,
     _solve_affine,
     _span_elements,
+    _transpose,
     find_distance_code,
 )
 from dscodes.symplectic import PauliString, symplectic_product
@@ -55,6 +59,36 @@ class TestCandidates:
                 assert symplectic_product(p, parse_pauli(g)) == 0
 
 
+@st.composite
+def detection_systems(draw):
+    """Random words of up to 14 bits, rows and a (possibly dependent) basis."""
+    width = draw(st.integers(1, 14))
+    vectors = st.integers(0, (1 << width) - 1)
+    words = draw(st.lists(vectors, max_size=40))
+    rows = draw(st.lists(vectors, max_size=5))
+    basis = draw(st.lists(vectors, max_size=6))
+    return width, words, rows, basis
+
+
+class TestTransposedDetection:
+    @given(detection_systems())
+    def test_combined_columns_are_row_parities(self, system):
+        width, words, rows, _ = system
+        cols = _transpose(words, width)
+        for row in rows:
+            hits = _combine(cols, row)
+            assert hits >> len(words) == 0
+            for t, word in enumerate(words):
+                assert (hits >> t) & 1 == (word & row).bit_count() & 1
+
+    @given(detection_systems())
+    def test_span_of_hits_is_hits_of_span(self, system):
+        width, words, _, basis = system
+        cols = _transpose(words, width)
+        expected = [_combine(cols, v) for v in _span_elements(basis)]
+        assert _span_elements([_combine(cols, b) for b in basis]) == expected
+
+
 class TestFindDistanceCode:
     def test_small_instance_reaches_distance_three(self):
         outcome = find_distance_code(5, 1, 3, seed=0, max_restarts=3, max_kicks=5)
@@ -71,6 +105,11 @@ class TestFindDistanceCode:
     def test_target_distance_validated(self):
         with pytest.raises(ValueError):
             find_distance_code(5, 1, 1, seed=0)
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_logical_count_validated(self, k):
+        with pytest.raises(ValueError, match="0 <= k < n"):
+            find_distance_code(5, k, 3, seed=0)
 
     def test_bundled_fixture_is_certified(self):
         code = load_code(BUNDLED)
