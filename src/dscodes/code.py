@@ -265,23 +265,22 @@ def iter_error_syndromes(
     """
     if min_weight < 0:
         raise ValueError("min_weight must be nonnegative")
+    return _walk_paulis(checkset.single_qubit_tables, min_weight, max_weight)
 
-    def walk() -> Iterator[tuple[int, int, int]]:
-        n = checkset.n
-        tables = checkset.single_qubit_tables
-        for w in range(min_weight, max_weight + 1):
-            for qubits in itertools.combinations(range(n), w):
-                rows = [tables[q] for q in qubits]
-                for types in itertools.product(range(3), repeat=w):
-                    e = 0
-                    s = 0
-                    for row, t in zip(rows, types):
-                        ev, sv = row[t]
-                        e ^= ev
-                        s ^= sv
-                    yield e, s, w
 
-    return walk()
+def _walk_paulis(tables, min_weight: int, max_weight: int) -> Iterator[tuple[int, int, int]]:
+    """The walk of :func:`iter_error_syndromes` over any per-qubit (e, s) tables."""
+    for w in range(min_weight, max_weight + 1):
+        for qubits in itertools.combinations(range(len(tables)), w):
+            rows = [tables[q] for q in qubits]
+            for types in itertools.product(range(3), repeat=w):
+                e = 0
+                s = 0
+                for row, t in zip(rows, types):
+                    ev, sv = row[t]
+                    e ^= ev
+                    s ^= sv
+                yield e, s, w
 
 
 def scan_distances(code: StabilizerCode, cutoff: int) -> tuple[int | None, int | None]:

@@ -89,8 +89,9 @@ def build_table(checkset: CheckSet, budget: FaultBudget) -> SyndromeTable:
     m = checkset.m
     best: dict[int, tuple[tuple, int, int]] = {}
     for e, s, dw, flips in iter_faults(checkset, budget):
+        e_key = _reversed_bits(e, 2 * n)
         for f in flips:
-            key = _table_key(e, f, dw, f.bit_count(), n, m)
+            key = (dw + f.bit_count(), e_key, _reversed_bits(f, m))  # _table_key's order
             observed = s ^ f
             held = best.get(observed)
             if held is None or key < held[0]:

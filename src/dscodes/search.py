@@ -7,8 +7,8 @@ optimization instead.  The state is a commuting independent generator
 set; the cost is the number of nonzero errors below the target weight
 that no generator detects.  Three moves drive the cost to zero:
 
-* plateau coordinate descent: rebuild one generator, enumerating its
-  whole symplectic-orthogonal sidespace and keeping any option that is no
+* plateau coordinate descent: rebuild one generator, ranking every
+  option of its symplectic-orthogonal sidespace and keeping any that is no
   worse (equal-cost moves diffuse across plateaus);
 * pair rebuild: for a pair of generators, enumerate candidates for the
   first and solve the linear system that makes the second detect every
@@ -21,7 +21,8 @@ parity.  Detection is kept transposed, one bit per candidate, as in Stim
 (Gidney 2021, arXiv:2103.02202): bit t of column b is bit b of candidate
 t, and a row's *hits* (bit t set when it detects candidate t) are the XOR
 of the columns its bits select.  Hits are linear in the row, so the hits
-of a span's elements are the span of its basis's hits.
+of a span's elements are the span of its basis's hits.  Moves rank
+sidespace options by hits alone and build an option only when they try it.
 
 Everything is driven by one seeded generator, so outcomes are
 reproducible given (seed, budget parameters).
@@ -38,10 +39,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .code import StabilizerCode, _swap_halves, scan_distances
+from .code import PAULI_TYPES, StabilizerCode, _swap_halves, _walk_paulis, scan_distances
 from .symplectic import PauliString, RowBasis
 
 __all__ = ["SearchOutcome", "find_distance_code"]
+
+_MAX_SWEEPS = 25  # sweeps per descend call
+_PAIR_TOP = 300  # pair_rebuild's ranking cut and equation margin,
+_PAIR_SLACK = 40  # whose reasons its docstring gives
+# A freed pair has a sidespace of dimension n + k + 2; _options lists 2^that hits.
+_MAX_SIDESPACE_DIM = 20
 
 
 @dataclass(frozen=True)
@@ -54,17 +61,9 @@ class SearchOutcome:
 
 def _error_candidates(n: int, max_weight: int) -> list[int]:
     """Partner-swapped error vectors of all weight 1..max_weight Paulis."""
-    words: list[int] = []
-    for w in range(1, max_weight + 1):
-        for qubits in itertools.combinations(range(n), w):
-            for types in itertools.product((1, 2, 3), repeat=w):
-                x = 0
-                z = 0
-                for q, t in zip(qubits, types):
-                    x |= (t & 1) << q
-                    z |= (t >> 1) << q
-                words.append(_swap_halves(x | (z << n), n))
-    return words
+    tables = [[(PauliString.single(t, q, n).error_vector().bits, 0) for t in PAULI_TYPES]
+              for q in range(n)]
+    return [_swap_halves(e, n) for e, _, _ in _walk_paulis(tables, 1, max_weight)]
 
 
 def _set_bits(x: int) -> Iterator[int]:
@@ -89,35 +88,27 @@ def _transpose(words: Sequence[int], width: int) -> list[int]:
 def _solve_affine(equations: list[tuple[int, int]], width: int):
     """Solve <mask_i, v> = rhs_i over F_2.
 
+    Each equation enters a :class:`RowBasis` as the row ``(mask << 1) | rhs``;
+    the system is inconsistent once that span holds the row ``1`` (0 = 1).
     Returns (particular solution, nullspace basis) as ints, or None when
     the system is inconsistent.
     """
-    pivots: dict[int, tuple[int, int]] = {}
+    rows = RowBasis()
     for mask, rhs in equations:
-        while mask:
-            p = mask.bit_length() - 1
-            if p not in pivots:
-                pivots[p] = (mask, rhs)
-                break
-            pm, pr = pivots[p]
-            mask ^= pm
-            rhs ^= pr
-        else:
-            if rhs:
-                return None
-    free = [i for i in range(width) if i not in pivots]
+        if rows.add((mask << 1) | rhs) and 0 in rows.pivot_rows:
+            return None
+    pivots = sorted(rows.pivot_rows.items())
+    free = [i for i in range(width) if i + 1 not in rows.pivot_rows]
 
     def back_substitute(free_word: int) -> int:
-        v = free_word
-        for p in sorted(pivots):
-            mask, rhs = pivots[p]
-            bit = rhs ^ ((mask & ~(1 << p) & v).bit_count() & 1)
-            v |= bit << p
-        return v
+        # Bit 0 of u is 1, so row & u has the parity of rhs + <mask, v>.
+        u = (free_word << 1) | 1
+        for p, row in pivots:
+            u |= ((row & u).bit_count() & 1) << p
+        return u >> 1
 
     particular = back_substitute(0)
-    basis = [back_substitute(1 << f) ^ particular for f in free]
-    return particular, [b for b in basis if b]
+    return particular, [back_substitute(1 << f) ^ particular for f in free]
 
 
 def _commuting_basis(others: list[int], n: int) -> list[int]:
@@ -179,9 +170,9 @@ class _Searcher:
     def _options(self, freed: tuple[int, ...]):
         """Every way to refill the slots ``freed`` while the other rows stay.
 
-        Returns the kept rows, the candidate words they all miss, every
-        element of their sidespace (in ``_span_elements`` order), each
-        element's hits on those words, and how many of them it misses.
+        Returns the kept rows, the candidate words they all miss, the basis
+        of their sidespace, and the hits on those words and the miss count
+        of each option ``idx``, the element ``_combine(basis, idx)``.
         """
         kept = [t for t in range(self.r) if t not in freed]
         others = [self.rows[t] for t in kept]
@@ -191,9 +182,9 @@ class _Searcher:
         cols = _transpose(undetected, self.width)
         hits = _span_elements([_combine(cols, b) for b in basis])
         missed = [len(undetected) - h.bit_count() for h in hits]
-        return others, undetected, _span_elements(basis), hits, missed
+        return others, undetected, basis, hits, missed
 
-    def descend(self, max_sweeps: int = 25) -> int:
+    def descend(self) -> int:
         """Plateau coordinate descent; returns the reached cost.
 
         Row i itself is among its options, so the best option never costs
@@ -201,15 +192,15 @@ class _Searcher:
         """
         best = self.cost()
         stall = 0
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             for i in self.rng.permutation(self.r).tolist():
-                others, _, options, _, missed = self._options((i,))
+                others, _, sidespace, _, missed = self._options((i,))
                 floor = min(missed)
                 pool = np.array([idx for idx, m in enumerate(missed) if m == floor])
                 self.rng.shuffle(pool)
                 span = RowBasis(others)
                 for idx in pool.tolist():
-                    v = options[idx]
+                    v = _combine(sidespace, idx)
                     if v and not span.contains(v):
                         self._set_row(i, v)
                         break
@@ -225,30 +216,30 @@ class _Searcher:
                     break
         return self.cost()
 
-    def pair_rebuild(self, top: int = 300, slack: int = 40) -> bool:
+    def pair_rebuild(self) -> bool:
         """Rebuild some generator pair to detect everything; all or nothing.
 
-        For each pair, candidates for the first slot are ranked by how few
-        of the currently undetected errors they leave; the second slot is
-        then an exact linear solve.  Leftover systems much larger than the
-        second slot's free dimension are skipped; dependent equation sets
-        stay solvable well past it, so the margin is generous.  Returns
-        True when cost reached zero.
+        For each pair, the ``_PAIR_TOP`` first-slot candidates that leave
+        fewest of the currently undetected errors are tried; the second slot
+        is then an exact linear solve.  Leftover systems more than
+        ``_PAIR_SLACK`` equations past the second slot's free dimension are
+        skipped; dependent equation sets stay solvable well past it, so the
+        margin is generous.  Returns True when cost reached zero.
         """
         free_dim = self.width - (self.r - 1)
         pairs = list(itertools.combinations(range(self.r), 2))
         order = self.rng.permutation(len(pairs))
         for pair_idx in order.tolist():
             i, j = pairs[pair_idx]
-            others, undetected, options, hits, missed = self._options((i, j))
-            ranked = sorted(range(len(options)), key=missed.__getitem__)[:top]
+            others, undetected, sidespace, hits, missed = self._options((i, j))
+            ranked = sorted(range(len(missed)), key=missed.__getitem__)[:_PAIR_TOP]
             everything = (1 << len(undetected)) - 1
             span8 = RowBasis(others)
             commute_eqs = [(_swap_halves(row, self.n), 0) for row in others]
             for idx in ranked:
-                if missed[idx] > free_dim + slack:
+                if missed[idx] > free_dim + _PAIR_SLACK:
                     break
-                vi = options[idx]
+                vi = _combine(sidespace, idx)
                 if not vi or span8.contains(vi):
                     continue
                 eqs = commute_eqs + [(_swap_halves(vi, self.n), 0)]
@@ -288,6 +279,8 @@ def find_distance_code(
         raise ValueError("target distance must be at least 2")
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k} for n={n}")
+    if n + k + 2 > _MAX_SIDESPACE_DIM:
+        raise ValueError(f"sidespace dimension n+k+2 = {n + k + 2} exceeds {_MAX_SIDESPACE_DIM}")
     started = time.perf_counter()
 
     def out_of_time() -> bool:

@@ -15,7 +15,8 @@ of the file and CLI contract and must not change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BitVector",
@@ -178,6 +179,11 @@ class RowBasis:
     @property
     def rank(self) -> int:
         return len(self._pivot_rows)
+
+    @property
+    def pivot_rows(self) -> Mapping[int, int]:
+        """Read-only view of the stored rows, keyed by their highest set bit."""
+        return MappingProxyType(self._pivot_rows)
 
     def reduce(self, word: int) -> int:
         """Reduce ``word`` modulo the stored row space."""

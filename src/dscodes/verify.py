@@ -136,11 +136,6 @@ def _zx_interleaved(e_bits: int, n: int) -> int:
     return out
 
 
-def _fault_key(e_bits: int, f_bits: int, n: int) -> tuple[int, int, int]:
-    # Data-bearing faults order before pure flip patterns; see report docs.
-    return (e_bits == 0, _zx_interleaved(e_bits, n), f_bits)
-
-
 def iter_faults(
     checkset: CheckSet, budget: FaultBudget
 ) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
@@ -197,12 +192,15 @@ def check_global(
         )
 
     reduce = checkset.code.row_basis.reduce
+    # Both modes key a fault by (e == 0, _zx_interleaved(e, n), f), built once
+    # per e: data-bearing faults order before pure flip patterns.
 
     if all_pairs:
         faults = []
         for e, s, _, flips in iter_faults(checkset, budget):
             coset = reduce(e)
-            faults.extend((_fault_key(e, f, n), e, f, s ^ f, coset) for f in flips)
+            flips_only, zx = e == 0, _zx_interleaved(e, n)
+            faults.extend(((flips_only, zx, f), e, f, s ^ f, coset) for f in flips)
         best = None
         for a, b in itertools.combinations(faults, 2):
             if a[3] != b[3] or a[4] == b[4]:
@@ -228,8 +226,9 @@ def check_global(
     for e, s, _, flips in iter_faults(checkset, budget):
         coset = reduce(e)
         checked += len(flips)
+        flips_only, zx = e == 0, _zx_interleaved(e, n)
         for f in flips:
-            key = _fault_key(e, f, n)
+            key = (flips_only, zx, f)
             bucket = buckets.setdefault(s ^ f, {})
             held = bucket.get(coset)
             if held is None or key < held[0]:

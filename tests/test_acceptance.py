@@ -18,7 +18,6 @@ from dscodes.code import (
     StabilizerCode,
     iter_error_syndromes,
     load_code,
-    scan_distances,
 )
 from dscodes.decode import NoiseModel, build_table, decode, run_trials
 from dscodes.redundancy import (
@@ -165,15 +164,11 @@ def test_criterion_06_lemma1_cross_validation(five, steane, steane_alt):
 
 def test_criterion_07_distance5_double_construction():
     with criterion(7, "hash-family double construction", 60.0):
-        outcome = find_distance_code(
-            11, 1, 5, seed=D5_SEARCH_SEED, max_restarts=1, max_kicks=6, deadline_s=40.0
-        )
-        if outcome is not None:
-            code = outcome.code
-            assert outcome.certified == (5, 5)
-        else:
-            code = load_code(BUNDLED_D5_CODE)
-            assert scan_distances(code, 5) == (5, 5)
+        outcome = find_distance_code(11, 1, 5, seed=D5_SEARCH_SEED, max_restarts=1, max_kicks=6)
+        assert outcome is not None
+        assert outcome.certified == (5, 5)
+        code = outcome.code
+        assert code.generators == load_code(BUNDLED_D5_CODE).generators
         assert (code.n, code.k) == (11, 1)
 
         checkset = double_construction(code)

@@ -1,10 +1,11 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscodes.code import load_code, scan_distances
+from dscodes.code import _swap_halves, iter_error_syndromes, load_code, scan_distances
 from dscodes.search import (
     _combine,
     _commuting_basis,
@@ -17,6 +18,14 @@ from dscodes.search import (
 from dscodes.symplectic import PauliString, symplectic_product
 
 BUNDLED = Path(__file__).parent.parent / "src" / "dscodes" / "data" / "code_11_1_5.txt"
+
+
+@st.composite
+def affine_systems(draw):
+    """Up to 10 random equations <mask, v> = rhs on at most 8 bits."""
+    width = draw(st.integers(1, 8))
+    equation = st.tuples(st.integers(0, (1 << width) - 1), st.integers(0, 1))
+    return width, draw(st.lists(equation, max_size=10))
 
 
 class TestAffineSolver:
@@ -40,11 +49,27 @@ class TestAffineSolver:
         elements = _span_elements([0b01, 0b10])
         assert sorted(elements) == [0, 1, 2, 3]
 
+    @given(affine_systems())
+    def test_agrees_with_brute_force(self, system):
+        width, equations = system
+        solutions = {
+            v for v in range(1 << width)
+            if all((mask & v).bit_count() & 1 == rhs for mask, rhs in equations)
+        }
+        solved = _solve_affine(equations, width)
+        assert (solved is None) == (not solutions)
+        if solved is not None:
+            particular, basis = solved
+            assert particular in solutions
+            assert {particular ^ e for e in _span_elements(basis)} == solutions
+
 
 class TestCandidates:
-    def test_counts(self):
+    def test_counts(self, bare_five):
         assert len(_error_candidates(5, 2)) == 15 + 90
         assert len(_error_candidates(11, 4)) == 33 + 495 + 4455 + 26730
+        walked = [_swap_halves(e, 5) for e, _, _ in iter_error_syndromes(bare_five, 1, 2)]
+        assert Counter(_error_candidates(5, 2)) == Counter(walked)
 
     def test_commuting_basis_is_orthogonal(self):
         gens = ["XZZXI", "IXZZX"]
@@ -110,6 +135,11 @@ class TestFindDistanceCode:
     def test_logical_count_validated(self, k):
         with pytest.raises(ValueError, match="0 <= k < n"):
             find_distance_code(5, k, 3, seed=0)
+
+    @pytest.mark.parametrize("n, k", [(31, 1), (19, 0)])
+    def test_sidespace_size_limit(self, n, k):
+        with pytest.raises(ValueError, match="exceeds 20"):
+            find_distance_code(n, k, 2, seed=0)
 
     def test_bundled_fixture_is_certified(self):
         code = load_code(BUNDLED)
