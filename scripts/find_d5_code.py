@@ -25,10 +25,14 @@ def main() -> int:
     args = parser.parse_args()
 
     started = time.perf_counter()
-    outcome = find_distance_code(
-        args.n, args.k, args.d, seed=args.seed,
-        max_restarts=args.restarts, max_kicks=args.kicks,
-    )
+    try:
+        outcome = find_distance_code(
+            args.n, args.k, args.d, seed=args.seed,
+            max_restarts=args.restarts, max_kicks=args.kicks,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
     if outcome is None:
         print(f"no [[{args.n},{args.k},{args.d}]] code found in {elapsed:.1f}s", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .code import CheckSet, Fault, iter_error_syndromes
 from .symplectic import BitVector, DimensionError
-from .verify import FaultBudget, check_global, iter_faults
+from .verify import FaultBudget, _refuse_over_cap, check_global, iter_faults
 
 __all__ = [
     "NoiseModel",
@@ -63,8 +63,8 @@ class SyndromeTable:
     Every in-budget fault's observed syndrome is a key; the stored fault
     has minimal combined weight, ties broken lexicographically on the
     (data vector, flip vector) bit strings.  Correctness of lookups modulo
-    stabilizer equivalence is guaranteed by the distinguishability check
-    run at construction time.
+    stabilizer equivalence is guaranteed by the coset check
+    :func:`build_table` makes on every fault.
     """
 
     checkset: CheckSet
@@ -78,27 +78,29 @@ class SyndromeTable:
 def build_table(checkset: CheckSet, budget: FaultBudget) -> SyndromeTable:
     """Tabulate minimal faults by observed syndrome; refuses bad budgets.
 
-    Raises :class:`UncorrectableBudgetError` carrying the collision witness
-    when two in-budget faults with different encoded effects share a
-    syndrome.
+    One :func:`iter_faults` pass keeps each syndrome's least fault and its
+    coset.  A second coset at one syndrome raises :class:`UncorrectableBudgetError`
+    with the witness of :func:`check_global`, which runs only on that path.
     """
-    report = check_global(checkset, budget)
-    if not report.ok:
-        raise UncorrectableBudgetError(report)
     n = checkset.n
     m = checkset.m
-    best: dict[int, tuple[tuple, int, int]] = {}
+    _refuse_over_cap(budget, n, m)
+    reduce = checkset.code.row_basis.reduce
+    best: dict[int, tuple[tuple, int, int, int]] = {}
     for e, s, dw, flips in iter_faults(checkset, budget):
+        coset = reduce(e)
         e_key = _reversed_bits(e, 2 * n)
         for f in flips:
             key = (dw + f.bit_count(), e_key, _reversed_bits(f, m))  # _table_key's order
             observed = s ^ f
             held = best.get(observed)
+            if held is not None and held[3] != coset:
+                raise UncorrectableBudgetError(check_global(checkset, budget))
             if held is None or key < held[0]:
-                best[observed] = (key, e, f)
+                best[observed] = (key, e, f, coset)
     entries = {
         observed: Fault(BitVector(e, 2 * n), BitVector(f, m))
-        for observed, (_, e, f) in best.items()
+        for observed, (_, e, f, _) in best.items()
     }
     return SyndromeTable(checkset, budget, entries)
 
@@ -185,6 +187,8 @@ def ml_decode(
         raise DimensionError(f"syndrome length {observed.n}, expected {checkset.m}")
     if not (0.0 < model.p < 1.0 and 0.0 < model.q < 1.0):
         raise ValueError("maximum-likelihood weighting needs p, q strictly inside (0, 1)")
+    if budget_cap < 0:
+        raise ValueError(f"budget cap must be nonnegative, got {budget_cap}")
     n = checkset.n
     m = checkset.m
     reduce = checkset.code.row_basis.reduce

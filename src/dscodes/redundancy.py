@@ -181,6 +181,19 @@ class RandomAugmentResult:
     seed: int
 
 
+_MAX_MASK_BITS = 64  # generator masks are drawn as numpy uint64
+
+
+def _mask_bits(code: StabilizerCode) -> int:
+    """n - k, the width of a drawn generator mask; refused above 64 bits."""
+    r = code.n - code.k
+    if r > _MAX_MASK_BITS:
+        raise ValueError(
+            f"n-k = {r} exceeds the {_MAX_MASK_BITS}-bit limit of the random generator-mask draw"
+        )
+    return r
+
+
 def _attempt_rng(seed: int, attempt: int) -> np.random.Generator:
     # Per-attempt streams keyed by (seed, attempt) so attempt i is the same
     # whether attempts run sequentially or in parallel.
@@ -203,7 +216,7 @@ def random_augment(
     ``pure_dist`` defaults to an exhaustive scan for the code's pure
     distance, which the caller can pass in to skip.
     """
-    r = code.n - code.k
+    r = _mask_bits(code)
     m = math.ceil(r / (1.0 - binary_entropy(cfg.delta)))
     t = math.ceil(cfg.delta * m)
     if pure_dist is None:
@@ -275,7 +288,9 @@ def generator_resynthesis(
     budget.  Some codes admit none; the pigeonhole then exhausts the
     attempt budget.
     """
-    r = code.n - code.k
+    if attempts < 1:
+        raise ValueError("attempts must be positive")
+    r = _mask_bits(code)
     tried = 0
     singular = 0
     for attempt in range(attempts):

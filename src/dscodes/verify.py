@@ -2,9 +2,11 @@
 
 ``iter_faults`` enumerates every fault a :class:`FaultBudget` admits; it
 is the one fault loop behind ``check_global`` and the syndrome tables.
-``check_global`` groups those faults by observed syndrome and demands that
-faults sharing a syndrome have data parts that differ only by a stabilizer
-element (identical action on the encoded state).  ``lemma1_check`` tests
+``check_global`` demands that faults sharing an observed syndrome have data
+parts that differ only by a stabilizer element (identical action on the
+encoded state).  It streams the faults once, keeping per syndrome only the
+least fault and the least fault from another stabilizer coset, which is
+all the canonical witness needs.  ``lemma1_check`` tests
 the cheaper sufficient condition that low weight data errors either have
 heavy syndromes or are stabilizer elements.
 ``oa_check`` verifies the uniform local-action statistics of a stabilizer.
@@ -157,6 +159,16 @@ def iter_faults(
         yield e, s, dw, admitted[dw]
 
 
+def _refuse_over_cap(budget, n: int, m: int, cap: int = 10**8, pairwise: bool = False) -> None:
+    count = fault_count(budget, n, m)
+    cost = count * count if pairwise else count
+    if cost > cap:
+        raise CandidateCapError(
+            f"budget {budget} admits {count} faults "
+            f"({'pairwise ' if pairwise else ''}cost {cost} > cap {cap})"
+        )
+
+
 def _make_fault(e_bits: int, f_bits: int, n: int, m: int) -> Fault:
     return Fault(BitVector(e_bits, 2 * n), BitVector(f_bits, m))
 
@@ -170,11 +182,16 @@ def check_global(
 ) -> CollisionReport:
     """Exhaustively test distinguishability of all faults within a budget.
 
-    The default implementation hashes faults by observed syndrome and
-    compares stabilizer cosets bucket by bucket; ``all_pairs=True``
-    compares every fault pair directly (differential-testing aid, cost
-    quadratic in the fault count).  Budgets whose enumeration exceeds
-    ``candidate_cap`` (counting pairs in all-pairs mode) are refused.
+    The default implementation makes one pass over the faults and keeps
+    two flat maps keyed by observed syndrome: ``least``, the least fault
+    seen, and ``other``, the least fault whose stabilizer coset differs
+    from it.  A fault that displaces ``least`` from another coset moves
+    the old holder to ``other``; one that does not displace it competes
+    for ``other`` if its coset differs.  The check passes iff ``other`` is
+    empty.  ``all_pairs=True`` compares every fault pair directly
+    (differential-testing aid, cost quadratic in the fault count).
+    Budgets whose enumeration exceeds ``candidate_cap`` (counting pairs in
+    all-pairs mode) are refused.
 
     The reported witness is canonical regardless of enumeration schedule:
     faults carrying a data error order before pure flip patterns, data
@@ -183,14 +200,7 @@ def check_global(
     """
     n = checkset.n
     m = checkset.m
-    count = fault_count(budget, n, m)
-    cost = count * count if all_pairs else count
-    if cost > candidate_cap:
-        raise CandidateCapError(
-            f"budget {budget} admits {count} faults "
-            f"({'pairwise ' if all_pairs else ''}cost {cost} > cap {candidate_cap})"
-        )
-
+    _refuse_over_cap(budget, n, m, candidate_cap, pairwise=all_pairs)
     reduce = checkset.code.row_basis.reduce
     # Both modes key a fault by (e == 0, _zx_interleaved(e, n), f), built once
     # per e: data-bearing faults order before pure flip patterns.
@@ -211,17 +221,12 @@ def check_global(
                 best = cand
         if best is None:
             return CollisionReport(ok=True, faults_checked=len(faults))
-        lo, hi = best[2], best[3]
-        return CollisionReport(
-            ok=False,
-            witness=(_make_fault(lo[1], lo[2], n, m), _make_fault(hi[1], hi[2], n, m)),
-            syndrome=BitVector(lo[3], m),
-            reason="two admissible faults with different encoded effects share a syndrome",
-            faults_checked=len(faults),
-        )
+        return _collision(best[2], best[3], best[2][3], len(faults), n, m)
 
-    # buckets: observed syndrome -> coset representative -> least fault seen
-    buckets: dict[int, dict[int, tuple[tuple[int, int, int], int, int]]] = {}
+    # least[o]: the least fault observed as o, as (key, e, f, coset); other[o]:
+    # the least one at o from another coset, so only ambiguous o have one.
+    least: dict[int, tuple[tuple[bool, int, int], int, int, int]] = {}
+    other: dict[int, tuple[tuple[bool, int, int], int, int, int]] = {}
     checked = 0
     for e, s, _, flips in iter_faults(checkset, budget):
         coset = reduce(e)
@@ -229,27 +234,28 @@ def check_global(
         flips_only, zx = e == 0, _zx_interleaved(e, n)
         for f in flips:
             key = (flips_only, zx, f)
-            bucket = buckets.setdefault(s ^ f, {})
-            held = bucket.get(coset)
+            observed = s ^ f
+            held = least.get(observed)
             if held is None or key < held[0]:
-                bucket[coset] = (key, e, f)
-
-    best_pair = None
-    best_syndrome = 0
-    for observed, bucket in buckets.items():
-        if len(bucket) < 2:
-            continue
-        lo, hi = sorted(bucket.values())[:2]
-        if best_pair is None or (lo[0], hi[0]) < (best_pair[0][0], best_pair[1][0]):
-            best_pair = (lo, hi)
-            best_syndrome = observed
-    if best_pair is None:
+                least[observed] = (key, e, f, coset)
+                if held is not None and held[3] != coset:
+                    other[observed] = held
+            elif held[3] != coset:
+                rival = other.get(observed)
+                if rival is None or key < rival[0]:
+                    other[observed] = (key, e, f, coset)
+    if not other:
         return CollisionReport(ok=True, faults_checked=checked)
-    lo, hi = best_pair
+    observed = min(other, key=lambda o: (least[o][0], other[o][0]))
+    return _collision(least[observed], other[observed], observed, checked, n, m)
+
+
+def _collision(lo, hi, observed: int, checked: int, n: int, m: int) -> CollisionReport:
+    # lo and hi hold (key, e, f, ...) of the least offending pair.
     return CollisionReport(
         ok=False,
         witness=(_make_fault(lo[1], lo[2], n, m), _make_fault(hi[1], hi[2], n, m)),
-        syndrome=BitVector(best_syndrome, m),
+        syndrome=BitVector(observed, m),
         reason="two admissible faults with different encoded effects share a syndrome",
         faults_checked=checked,
     )

@@ -208,6 +208,23 @@ class TestUsageErrors:
         assert status == 2 and text == ""
         assert "negative weight" in capsys.readouterr().err
 
+    def test_resynth_zero_attempts_refused(self, capsys):
+        status, text = run(
+            ["resynth", "--code", "steane_css", "--budget", "sym:1", "--attempts", "0"]
+        )
+        assert status == 2 and text == ""
+        assert "attempts must be positive" in capsys.readouterr().err
+
+    def test_negative_ml_cap_refused(self, capsys):
+        status, text = run(
+            [
+                "simulate", "--checkset", "five_qubit", "--p", "0.01", "--q", "0.005",
+                "--trials", "1000", "--ml", "--cap", "-1",
+            ]
+        )
+        assert status == 2 and text == ""
+        assert "budget cap must be nonnegative" in capsys.readouterr().err
+
     def test_missing_subcommand_flag(self):
         status, _ = run(["bound", "symmetric", "--n", "5"])
         assert status == 2

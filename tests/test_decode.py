@@ -1,6 +1,6 @@
 import pytest
 
-from dscodes.code import CheckSet, Fault, iter_error_syndromes, observed_syndrome
+from dscodes.code import CheckSet, Fault, StabilizerCode, iter_error_syndromes, observed_syndrome
 from dscodes.decode import (
     _DRAW_BLOCK,
     NoiseModel,
@@ -12,7 +12,7 @@ from dscodes.decode import (
     sample_fault,
 )
 from dscodes.symplectic import BitVector, parse_pauli
-from dscodes.verify import FaultBudget, equivalent_data
+from dscodes.verify import CandidateCapError, FaultBudget, equivalent_data
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,13 @@ class TestBuildTable:
     def test_alternative_steane_has_28_entries(self, steane_alt):
         table = build_table(CheckSet.from_code(steane_alt), FaultBudget.symmetric(1))
         assert len(table) == 28
+
+    def test_over_cap_budget_refused(self):
+        # 40 single-qubit Z checks at sym:5 admit about 1.6e8 faults, over the
+        # default cap of check_global.
+        code = StabilizerCode.from_strings("I" * i + "Z" + "I" * (39 - i) for i in range(40))
+        with pytest.raises(CandidateCapError):
+            build_table(CheckSet.from_code(code), FaultBudget.symmetric(5))
 
     def test_entries_are_minimal_weight(self, table_ii):
         for observed, fault in table_ii.entries.items():
@@ -102,6 +109,11 @@ class TestMlDecode:
         # weight-3 observations are unreachable with combined weight <= 1
         # only when no single fault hits them; pick one not in the table.
         assert ml_decode(augmented_five, BitVector.from01("11010"), model, 0) is None
+
+    def test_negative_cap_refused(self, augmented_five):
+        model = NoiseModel(p=1e-2, q=1e-3, seed=0)
+        with pytest.raises(ValueError, match="budget cap must be nonnegative"):
+            ml_decode(augmented_five, BitVector.from01("00000"), model, -1)
 
 
 class TestSampling:

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from dscodes.code import CheckSet, iter_error_syndromes, steane_css
+from dscodes.code import CheckSet, StabilizerCode, iter_error_syndromes, steane_css
 from dscodes.redundancy import (
     PhfMatrix,
     RandomSearchConfig,
@@ -182,6 +182,20 @@ class TestGeneratorResynthesis:
         with pytest.raises(SearchFailure) as err:
             generator_resynthesis(five, FaultBudget.symmetric(1), attempts=120, seed=9)
         assert err.value.stats["invertible_tried"] > 0
+
+
+class TestMaskWidthLimit:
+    # 65 single-qubit Z generators on 66 qubits: n-k = 65 generator masks
+    # do not fit the uint64 draw.
+    CODE = StabilizerCode.from_strings("I" * i + "Z" + "I" * (65 - i) for i in range(65))
+
+    def test_random_augment_refused(self):
+        with pytest.raises(ValueError, match="n-k = 65 exceeds the 64-bit limit"):
+            random_augment(self.CODE, RandomSearchConfig(delta=0.25, seed=0), pure_dist=2)
+
+    def test_generator_resynthesis_refused(self):
+        with pytest.raises(ValueError, match="n-k = 65 exceeds the 64-bit limit"):
+            generator_resynthesis(self.CODE, FaultBudget.symmetric(1), attempts=1, seed=0)
 
 
 class TestDoubleConstruction:

@@ -9,7 +9,7 @@ ROOT = Path(__file__).parent.parent
 BUNDLED = ROOT / "src" / "dscodes" / "data" / "code_11_1_5.txt"
 
 
-def run_script(name, *args):
+def run_script(name, *args, check=True):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
@@ -17,7 +17,7 @@ def run_script(name, *args):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
-        check=True,
+        check=check,
     )
 
 
@@ -26,6 +26,14 @@ def test_find_d5_code_reproduces_bundled_code(tmp_path):
     run_script("find_d5_code.py", "--seed", "2", "--restarts", "1", "--kicks", "6",
                "--out", str(out))
     assert out.read_bytes() == BUNDLED.read_bytes()
+
+
+def test_find_d5_code_refuses_oversized_search():
+    # n + k + 2 = 34 exceeds the search's sidespace limit: a usage error,
+    # not the "no code found" status 1.
+    result = run_script("find_d5_code.py", "--n", "31", check=False)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 
 
 def test_noise_sweep_smoke():

@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dscodes.bounds import gv_check, hybrid_hamming, singleton_check, symmetric_hamming
-from dscodes.code import CheckSet, StabilizerCode, five_qubit, iter_error_syndromes, steane_css
+from dscodes.code import CheckSet, Fault, StabilizerCode, five_qubit, iter_error_syndromes, steane_css
+from dscodes.decode import UncorrectableBudgetError, _table_key, build_table
 from dscodes.redundancy import css_parity_pair, parity_augment
 from dscodes.symplectic import BitVector, parse_pauli
 from dscodes.verify import (
@@ -14,6 +15,7 @@ from dscodes.verify import (
     check_global,
     equivalent_data,
     fault_count,
+    iter_faults,
     lemma1_check,
     oa_check,
 )
@@ -143,6 +145,27 @@ class TestFaultEnumeration:
             slow.faults_checked,
         )
         assert fast.faults_checked == count
+
+    @given(small_checksets(), small_budgets)
+    @settings(max_examples=60, deadline=None)
+    def test_build_table_matches_check_then_tabulate(self, checkset, budget):
+        # Reference: check_global first, then the least fault by _table_key
+        # per observed syndrome over a second enumeration.
+        report = check_global(checkset, budget)
+        if not report.ok:
+            with pytest.raises(UncorrectableBudgetError) as err:
+                build_table(checkset, budget)
+            assert err.value.report == report
+            return
+        n, m = checkset.n, checkset.m
+        best = {}
+        for e, s, dw, flips in iter_faults(checkset, budget):
+            for f in flips:
+                key = _table_key(e, f, dw, f.bit_count(), n, m)
+                if s ^ f not in best or key < best[s ^ f][0]:
+                    best[s ^ f] = (key, e, f)
+        expected = {o: Fault(BitVector(e, 2 * n), BitVector(f, m)) for o, (_, e, f) in best.items()}
+        assert build_table(checkset, budget).entries == expected
 
     @given(small_checksets(), st.integers(0, 3))
     @settings(max_examples=25, deadline=None)
