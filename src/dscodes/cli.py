@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bounds, code as code_mod, redundancy, verify
 from .code import CheckSet, FIXTURES, StabilizerCode, load_checkset, load_code
 from .decode import NoiseModel, build_table, decode, ml_decode, run_trials
-from .symplectic import BitVector, parse_pauli
+from .symplectic import BitVector, PauliString
 from .verify import FaultBudget
 
 __all__ = ["main"]
@@ -54,12 +54,12 @@ def _syndrome_cell(bits: BitVector) -> str:
 def _single_fault_rows(checkset: CheckSet) -> list[tuple[str, BitVector]]:
     """(label, observed syndrome) rows in canonical table order."""
     n = checkset.n
-    rows = [("No error", BitVector.zeros(checkset.m))]
-    for letter in code_mod.PAULI_TYPES:
-        for q in range(n):
-            p = parse_pauli("".join(letter if i == q else "I" for i in range(n)))
-            rows.append((str(p), code_mod.syndrome(checkset, p.error_vector())))
-    return rows
+    tables = checkset.single_qubit_tables
+    return [("No error", BitVector.zeros(checkset.m))] + [
+        (str(PauliString.single(letter, q, n)), BitVector(tables[q][t][1], checkset.m))
+        for t, letter in enumerate(code_mod.PAULI_TYPES)
+        for q in range(n)
+    ]
 
 
 def _cmd_tables(args) -> int:
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=10**8, help="refuse enumerations above this size")
     p.set_defaults(func=_cmd_verify_global)
 
-    p = sub.add_parser("verify-lemma1", help="syndrome-weight sufficient condition")
+    p = sub.add_parser("verify-lemma1", help="syndrome-weight condition, exact for sym:t at d=2t+1")
     p.add_argument("--checkset", required=True)
     p.add_argument("--code", default=None)
     p.add_argument("--d", type=int, required=True)

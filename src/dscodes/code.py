@@ -73,6 +73,13 @@ def _swap_halves(word: int, n: int) -> int:
     return (word >> n) | ((word & mask) << n)
 
 
+@functools.cache
+def _error_tables(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``single_qubit_tables`` of n qubits with no checks: every syndrome is 0."""
+    return tuple(tuple((PauliString.single(t, q, n).error_vector().bits, 0) for t in PAULI_TYPES)
+                 for q in range(n))
+
+
 @dataclass(frozen=True)
 class StabilizerCode:
     """An [[n, k]] stabilizer code given by n-k independent commuting generators."""
@@ -199,15 +206,7 @@ class CheckSet:
         ``tables[q][t]`` covers type t in the X, Y, Z order used by all
         enumeration loops; syndromes of heavier errors XOR these entries.
         """
-        n = self.n
-        out = []
-        for q in range(n):
-            row = []
-            for letter in PAULI_TYPES:
-                e = PauliString.single(letter, q, n).error_vector().bits
-                row.append((e, self.syndrome_int(e)))
-            out.append(tuple(row))
-        return tuple(out)
+        return tuple(tuple((e, self.syndrome_int(e)) for e, _ in row) for row in _error_tables(self.n))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The noise model is the abstract one where data qubits depolarize before
 extraction and each extracted syndrome bit then flips independently; no
 errors land on data qubits during extraction itself.  Decoding success is
 always judged modulo stabilizer equivalence of the data part: the flip
-part never touches the encoded state.
+part never touches the encoded state.  Sampled faults come from one block
+sampler, which XORs per-qubit (error, syndrome) tables over the noisy qubits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .code import CheckSet, Fault, iter_error_syndromes
+from .code import CheckSet, Fault, _error_tables, iter_error_syndromes
 from .symplectic import BitVector, DimensionError
 from .verify import FaultBudget, _refuse_over_cap, check_global, iter_faults
 
@@ -132,30 +133,29 @@ class NoiseModel:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
 
-def _fault_bits(model: NoiseModel, u: list[float], n: int) -> tuple[int, int]:
-    """(error bits, flip bits) from n + m uniforms: qubits, then syndrome bits.
+def _sample_block(model: NoiseModel, u: np.ndarray, tables) -> tuple[list[int], ...]:
+    """(errors, syndromes, flips) of each row of uniforms, as lists of ints.
 
-    ``u`` holds Python floats (``ndarray.tolist()``), which compare much
-    faster than numpy scalars.
+    A row holds n qubit uniforms, then m flip uniforms.  Qubit q takes the
+    ``tables[q][t]`` (error bits, syndrome bits) of type t = X, Y, Z when
+    its uniform is below p/3, 2p/3, p; bit i flips when its uniform is below q.
     """
-    x = 0
-    z = 0
+    n = len(tables)
     third = model.p / 3.0
-    for qb in range(n):
-        v = u[qb]
-        if v < third:
-            x |= 1 << qb
-        elif v < 2 * third:
-            x |= 1 << qb
-            z |= 1 << qb
-        elif v < model.p:
-            z |= 1 << qb
-    flips = 0
-    q = model.q
-    for i in range(len(u) - n):
-        if u[n + i] < q:
-            flips |= 1 << i
-    return x | (z << n), flips
+    trials, qubits = np.nonzero(u[:, :n] < model.p)
+    hit = u[trials, qubits]
+    kinds = (hit >= third).astype(np.intp) + (hit >= 2 * third)
+    errors = [0] * len(u)
+    syndromes = [0] * len(u)
+    for r, q, t in zip(trials.tolist(), qubits.tolist(), kinds.tolist()):
+        e, s = tables[q][t]
+        errors[r] ^= e
+        syndromes[r] ^= s
+    flips = [0] * len(u)
+    trials, bits = np.nonzero(u[:, n:] < model.q)
+    for r, i in zip(trials.tolist(), bits.tolist()):
+        flips[r] |= 1 << i
+    return errors, syndromes, flips
 
 
 def sample_fault(
@@ -164,8 +164,8 @@ def sample_fault(
     """Draw one joint fault; n + m uniforms are consumed in index order."""
     if rng is None:
         rng = model.rng()
-    e_bits, flips = _fault_bits(model, rng.random(n + m).tolist(), n)
-    return Fault(BitVector(e_bits, 2 * n), BitVector(flips, m))
+    errors, _, flips = _sample_block(model, rng.random((1, n + m)), _error_tables(n))
+    return Fault(BitVector(errors[0], 2 * n), BitVector(flips[0], m))
 
 
 def ml_decode(
@@ -259,7 +259,8 @@ def run_trials(
     Reproducible bit for bit: trial i consumes the same uniforms as the
     i-th of a run of :func:`sample_fault` calls on one generator, since
     all randomness comes from one stream drawn in blocks of
-    ``_DRAW_BLOCK`` trials, which bounds memory in the trial count.
+    ``_DRAW_BLOCK`` trials, which bounds memory in the trial count.  The
+    decoder sees each trial's syndrome, XORed from ``single_qubit_tables``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -271,12 +272,10 @@ def run_trials(
     flagged = 0
     for start in range(0, trials, _DRAW_BLOCK):
         block = rng.random((min(_DRAW_BLOCK, trials - start), n + m))
-        for row in block.tolist():
-            e_bits, flips = _fault_bits(model, row, n)
-            observed = BitVector(checkset.syndrome_int(e_bits) ^ flips, m)
-            correction = decoder(observed)
+        for e, s, f in zip(*_sample_block(model, block, checkset.single_qubit_tables)):
+            correction = decoder(BitVector(s ^ f, m))
             if correction is None:
                 flagged += 1
-            elif not basis.contains(correction.data.bits ^ e_bits):
+            elif not basis.contains(correction.data.bits ^ e):
                 logical += 1
     return TrialStats(trials, logical, flagged)

@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .code import PAULI_TYPES, StabilizerCode, _swap_halves, _walk_paulis, scan_distances
+from .code import StabilizerCode, _error_tables, _swap_halves, _walk_paulis, scan_distances
 from .symplectic import PauliString, RowBasis
 
 __all__ = ["SearchOutcome", "find_distance_code"]
@@ -61,9 +61,7 @@ class SearchOutcome:
 
 def _error_candidates(n: int, max_weight: int) -> list[int]:
     """Partner-swapped error vectors of all weight 1..max_weight Paulis."""
-    tables = [[(PauliString.single(t, q, n).error_vector().bits, 0) for t in PAULI_TYPES]
-              for q in range(n)]
-    return [_swap_halves(e, n) for e, _, _ in _walk_paulis(tables, 1, max_weight)]
+    return [_swap_halves(e, n) for e, _, _ in _walk_paulis(_error_tables(n), 1, max_weight)]
 
 
 def _set_bits(x: int) -> Iterator[int]:

@@ -154,25 +154,18 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.rows[i], self.ncols)
 
-    def matvec(self, v: BitVector) -> BitVector:
-        """Return M v^T over F_2 (bit i is the parity of row_i AND v)."""
-        if v.n != self.ncols:
-            raise DimensionError(f"vector length {v.n} does not match {self.ncols} columns")
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= _parity(r & v.bits) << i
-        return BitVector(out, self.nrows)
-
 
 class RowBasis:
     """Echelonized row-space basis over F_2 with cheap membership tests.
 
-    Rows are reduced against stored pivot rows from the highest set bit
-    down, so ``reduce`` costs O(rank) word operations.
+    Stored rows have distinct highest set bits, their pivots.  ``reduce``
+    clears every pivot bit, so it is F_2-linear and canonical per coset,
+    and zero exactly on the span.  All cost O(rank) word operations.
     """
 
     def __init__(self, rows: Iterable[int] = ()) -> None:
         self._pivot_rows: dict[int, int] = {}
+        self._pivot_mask = 0
         for r in rows:
             self.add(r)
 
@@ -186,21 +179,19 @@ class RowBasis:
         return MappingProxyType(self._pivot_rows)
 
     def reduce(self, word: int) -> int:
-        """Reduce ``word`` modulo the stored row space."""
-        while word:
-            pivot = word.bit_length() - 1
-            row = self._pivot_rows.get(pivot)
-            if row is None:
-                return word
-            word ^= row
-        return 0
+        """The representative of ``word``'s coset with no pivot bit set."""
+        while hits := word & self._pivot_mask:
+            word ^= self._pivot_rows[hits.bit_length() - 1]
+        return word
 
     def add(self, word: int) -> bool:
         """Insert a row; returns True when it enlarged the span."""
         residue = self.reduce(word)
         if residue == 0:
             return False
-        self._pivot_rows[residue.bit_length() - 1] = residue
+        pivot = residue.bit_length() - 1
+        self._pivot_rows[pivot] = residue
+        self._pivot_mask |= 1 << pivot
         return True
 
     def contains(self, word: int) -> bool:

@@ -7,8 +7,8 @@ parts that differ only by a stabilizer element (identical action on the
 encoded state).  It streams the faults once, keeping per syndrome only the
 least fault and the least fault from another stabilizer coset, which is
 all the canonical witness needs.  ``lemma1_check`` tests
-the cheaper sufficient condition that low weight data errors either have
-heavy syndromes or are stabilizer elements.
+the cheaper, equivalent condition for symmetric budgets that low weight
+data errors either have heavy syndromes or are stabilizer elements.
 ``oa_check`` verifies the uniform local-action statistics of a stabilizer.
 The bound predicates live in :mod:`dscodes.bounds`.
 """
@@ -221,40 +221,43 @@ def check_global(
                 best = cand
         if best is None:
             return CollisionReport(ok=True, faults_checked=len(faults))
-        return _collision(best[2], best[3], best[2][3], len(faults), n, m)
+        lo, hi = best[2], best[3]
+        return _collision((lo[1], lo[2]), (hi[1], hi[2]), lo[3], len(faults), n, m)
 
-    # least[o]: the least fault observed as o, as (key, e, f, coset); other[o]:
-    # the least one at o from another coset, so only ambiguous o have one.
-    least: dict[int, tuple[tuple[bool, int, int], int, int, int]] = {}
-    other: dict[int, tuple[tuple[bool, int, int], int, int, int]] = {}
+    # least[o]: the least fault observed as o, as (e == 0, zx, f, e, coset), whose
+    # first three fields are its unique key; other[o]: the least one at o from
+    # another coset, so only ambiguous o have one.
+    least: dict[int, tuple[bool, int, int, int, int]] = {}
+    other: dict[int, tuple[bool, int, int, int, int]] = {}
     checked = 0
     for e, s, _, flips in iter_faults(checkset, budget):
         coset = reduce(e)
         checked += len(flips)
         flips_only, zx = e == 0, _zx_interleaved(e, n)
         for f in flips:
-            key = (flips_only, zx, f)
+            fault = (flips_only, zx, f, e, coset)
             observed = s ^ f
             held = least.get(observed)
-            if held is None or key < held[0]:
-                least[observed] = (key, e, f, coset)
-                if held is not None and held[3] != coset:
+            if held is None or fault < held:
+                least[observed] = fault
+                if held is not None and held[4] != coset:
                     other[observed] = held
-            elif held[3] != coset:
+            elif held[4] != coset:
                 rival = other.get(observed)
-                if rival is None or key < rival[0]:
-                    other[observed] = (key, e, f, coset)
+                if rival is None or fault < rival:
+                    other[observed] = fault
     if not other:
         return CollisionReport(ok=True, faults_checked=checked)
-    observed = min(other, key=lambda o: (least[o][0], other[o][0]))
-    return _collision(least[observed], other[observed], observed, checked, n, m)
+    observed = min(other, key=lambda o: (least[o], other[o]))
+    lo, hi = least[observed], other[observed]
+    return _collision((lo[3], lo[2]), (hi[3], hi[2]), observed, checked, n, m)
 
 
 def _collision(lo, hi, observed: int, checked: int, n: int, m: int) -> CollisionReport:
-    # lo and hi hold (key, e, f, ...) of the least offending pair.
+    # lo and hi are the (e, f) bits of the least offending pair.
     return CollisionReport(
         ok=False,
-        witness=(_make_fault(lo[1], lo[2], n, m), _make_fault(hi[1], hi[2], n, m)),
+        witness=(_make_fault(*lo, n, m), _make_fault(*hi, n, m)),
         syndrome=BitVector(observed, m),
         reason="two admissible faults with different encoded effects share a syndrome",
         faults_checked=checked,
@@ -262,12 +265,14 @@ def _collision(lo, hi, observed: int, checked: int, n: int, m: int) -> Collision
 
 
 def lemma1_check(checkset: CheckSet, d: int) -> CollisionReport:
-    """Sufficient condition for combined floor((d-1)/2)-fault correction.
+    """Data-syndrome distance at least d; for d = 2t+1, exactly ``sym:t`` correction.
 
-    Every nonzero data error on t <= d-1 qubits must either have syndrome
-    weight at least d-t or be a stabilizer element with zero syndrome.  A
-    zero syndrome outside the stabilizer is an undetected logical error
-    below the claimed distance and is reported as such.
+    Every nonzero data error on w <= d-1 qubits must either have syndrome
+    weight at least d-w or be a stabilizer element with zero syndrome; a
+    zero syndrome outside the stabilizer is reported as an undetected
+    logical error.  The condition is exact: two colliding ``sym:t`` faults
+    differ by an e outside the stabilizer with wt(e) + wt(s(e)) <= 2t, and
+    any such e splits into two colliding ``sym:t`` faults.
     """
     if d < 1:
         raise ValueError(f"distance parameter must be positive, got {d}")

@@ -1,9 +1,22 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dscodes.code import CheckSet, Fault, StabilizerCode, iter_error_syndromes, observed_syndrome
+from dscodes.code import (
+    CheckSet,
+    Fault,
+    StabilizerCode,
+    five_qubit,
+    iter_error_syndromes,
+    observed_syndrome,
+    steane_css,
+)
 from dscodes.decode import (
     _DRAW_BLOCK,
     NoiseModel,
+    _sample_block,
+    _table_key,
     UncorrectableBudgetError,
     build_table,
     decode,
@@ -11,8 +24,15 @@ from dscodes.decode import (
     run_trials,
     sample_fault,
 )
+from dscodes.redundancy import css_parity_pair, parity_augment
 from dscodes.symplectic import BitVector, parse_pauli
 from dscodes.verify import CandidateCapError, FaultBudget, equivalent_data
+
+_STEANE_SETS = (
+    CheckSet.from_code(steane_css()),
+    parity_augment(steane_css()),
+    css_parity_pair(steane_css()),
+)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +135,48 @@ class TestMlDecode:
         with pytest.raises(ValueError, match="budget cap must be nonnegative"):
             ml_decode(augmented_five, BitVector.from01("00000"), model, -1)
 
+    @pytest.mark.parametrize("observed, expected", [("101110", "IIIIXYI"), ("011110", "IIIIYXI")])
+    def test_tied_classes_on_bare_steane(self, observed, expected):
+        # Three classes tie exactly here; the least representative wins.
+        checkset = _STEANE_SETS[0]
+        model = NoiseModel(p=0.01, q=0.005)
+        got = ml_decode(checkset, BitVector.from01(observed), model, 3)
+        assert got == _ml_reference(checkset, BitVector.from01(observed), model, 3)
+        assert str(got.data_pauli()) == expected and got.flip_weight == 0
+
+    @given(st.sampled_from(_STEANE_SETS), st.data(), st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_brute_force_classes(self, checkset, data, cap):
+        observed = BitVector(data.draw(st.integers(0, 2**checkset.m - 1)), checkset.m)
+        model = NoiseModel(p=0.01, q=0.005)
+        expected = _ml_reference(checkset, observed, model, cap)
+        assert ml_decode(checkset, observed, model, cap) == expected
+
+
+def _ml_reference(checkset, observed, model, cap):
+    """ml_decode by its definition: classes grouped by ``contains``, not by a key."""
+    n, m = checkset.n, checkset.m
+    basis = checkset.code.row_basis
+    classes = []  # [member, probability, (table key, e, f)]
+    for e, s, dw in iter_error_syndromes(checkset, 0, cap):
+        f = s ^ observed.bits
+        fw = f.bit_count()
+        if dw + fw > cap:
+            continue
+        p3, q = model.p / 3.0, model.q
+        weight = (p3**dw) * ((1.0 - model.p) ** (n - dw)) * (q**fw) * ((1.0 - q) ** (m - fw))
+        rep = (_table_key(e, f, dw, fw, n, m), e, f)
+        cls = next((c for c in classes if basis.contains(c[0] ^ e)), None)
+        if cls is None:
+            classes.append([e, weight, rep])
+        else:
+            cls[1] += weight
+            cls[2] = min(cls[2], rep)
+    if not classes:
+        return None
+    _, _, (_, e, f) = min(classes, key=lambda c: (-c[1], c[2][0]))
+    return Fault(BitVector(e, 2 * n), BitVector(f, m))
+
 
 class TestSampling:
     def test_zero_rates_sample_nothing(self):
@@ -138,6 +200,49 @@ class TestSampling:
             flips += f.flip_weight
         assert data / (4 * trials) == pytest.approx(0.5, abs=0.03)
         assert flips / (4 * trials) == pytest.approx(0.25, abs=0.03)
+
+
+def _scalar_fault(model, row, checkset):
+    """Reference for one row of uniforms: the per-qubit if/elif chain."""
+    n = checkset.n
+    x = z = 0
+    third = model.p / 3.0
+    for qb, v in enumerate(row[:n]):
+        if v < third:
+            x |= 1 << qb
+        elif v < 2 * third:
+            x |= 1 << qb
+            z |= 1 << qb
+        elif v < model.p:
+            z |= 1 << qb
+    flips = sum(1 << i for i, v in enumerate(row[n:]) if v < model.q)
+    e = x | (z << n)
+    return e, checkset.syndrome_int(e), flips
+
+
+@st.composite
+def noise_blocks(draw):
+    """A check set, a noise model, and a block of rows that hit every threshold."""
+    checkset = draw(st.sampled_from((parity_augment(five_qubit()),) + _STEANE_SETS))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    q = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    edges = [p / 3.0, 2 * (p / 3.0), p, q]
+    values = st.one_of(
+        st.sampled_from(edges + [float(np.nextafter(x, 0.0)) for x in edges]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    width = checkset.n + checkset.m
+    rows = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=1, max_size=4))
+    return checkset, NoiseModel(p, q), np.array(rows)
+
+
+class TestSampleBlock:
+    @given(noise_blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_reference(self, case):
+        checkset, model, block = case
+        got = list(zip(*_sample_block(model, block, checkset.single_qubit_tables)))
+        assert got == [_scalar_fault(model, row, checkset) for row in block.tolist()]
 
 
 class TestRunTrials:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,46 @@ class TestRowSpace:
         assert basis.contains(0b110)
         assert not basis.contains(0b001)
         assert basis.rank == 2
+
+    def test_steane_cosets_reduce_canonically(self):
+        # Steane errors of weight <= 2 meet 169 cosets, and reduce must give
+        # each exactly one representative.
+        from dscodes.code import CheckSet, iter_error_syndromes, steane_css
+
+        code = steane_css()
+        reps = {}
+        for e, _, _ in iter_error_syndromes(CheckSet.from_code(code), 0, 2):
+            reps.setdefault(code.row_basis.reduce(e), e)
+        assert len(reps) == 169
+        pairs = itertools.combinations(reps.values(), 2)
+        assert not any(code.row_basis.contains(a ^ b) for a, b in pairs)
+
+
+words_and_rows = st.integers(1, 12).flatmap(
+    lambda w: st.tuples(
+        st.lists(st.integers(0, 2**w - 1), max_size=8),
+        st.integers(0, 2**w - 1),
+        st.integers(0, 2**w - 1),
+    )
+)
+
+
+class TestReduce:
+    @given(words_and_rows)
+    @settings(max_examples=100)
+    def test_one_word_per_coset(self, case):
+        rows, a, b = case
+        basis = RowBasis(rows)
+        assert (basis.reduce(a) == basis.reduce(b)) == basis.contains(a ^ b)
+        assert basis.contains(basis.reduce(a) ^ a)
+
+    @given(words_and_rows)
+    @settings(max_examples=100)
+    def test_linear(self, case):
+        rows, a, b = case
+        basis = RowBasis(rows)
+        assert basis.reduce(a ^ b) == basis.reduce(a) ^ basis.reduce(b)
+        assert all(basis.reduce(a) >> p & 1 == 0 for p in basis.pivot_rows)
 
 
 class TestBitVector:

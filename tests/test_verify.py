@@ -145,6 +145,9 @@ class TestFaultEnumeration:
             slow.faults_checked,
         )
         assert fast.faults_checked == count
+        if not fast.ok:
+            a, b = fast.witness
+            assert not equivalent_data(checkset.code, a.data, b.data)
 
     @given(small_checksets(), small_budgets)
     @settings(max_examples=60, deadline=None)
@@ -216,6 +219,12 @@ class TestLemma1:
         for checkset in sets:
             if lemma1_check(checkset, 3).ok:
                 assert check_global(checkset, FaultBudget.symmetric(1)).ok
+
+    @given(small_checksets(), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_for_symmetric_budgets(self, checkset, t):
+        exact = check_global(checkset, FaultBudget.symmetric(t)).ok
+        assert lemma1_check(checkset, 2 * t + 1).ok == exact
 
 
 class TestOaCheck:
