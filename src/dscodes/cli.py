@@ -65,16 +65,12 @@ def _single_fault_rows(checkset: CheckSet) -> list[tuple[str, BitVector]]:
 def _cmd_tables(args) -> int:
     which = args.which
     out = args.out
-    if which == "I":
-        checkset = CheckSet.from_code(code_mod.five_qubit())
+    if which in ("I", "II"):
+        code = code_mod.five_qubit()
+        checkset = redundancy.parity_augment(code) if which == "II" else CheckSet.from_code(code)
         for label, syn in _single_fault_rows(checkset):
             print(f"{label}\t{_syndrome_cell(syn)}", file=out)
-        return 0
-    if which == "II":
-        checkset = redundancy.parity_augment(code_mod.five_qubit())
-        for label, syn in _single_fault_rows(checkset):
-            print(f"{label}\t{_syndrome_cell(syn)}", file=out)
-        for i in range(checkset.m):
+        for i in range(checkset.m if which == "II" else 0):
             print(f"s{i} flip\t{_syndrome_cell(BitVector.unit(i, checkset.m))}", file=out)
         return 0
     css = CheckSet.from_code(code_mod.steane_css())

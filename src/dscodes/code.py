@@ -289,6 +289,8 @@ def scan_distances(code: StabilizerCode, cutoff: int) -> tuple[int | None, int |
     whole stabilizer; d additionally requires it to lie outside the
     stabilizer itself.
     """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     if cutoff > code.n:
         raise ValueError(f"cutoff {cutoff} exceeds qubit count {code.n}")
     checks = CheckSet.from_code(code)

@@ -257,25 +257,30 @@ def run_trials(
     """Monte Carlo estimate of decoder performance under the noise model.
 
     Reproducible bit for bit: trial i consumes the same uniforms as the
-    i-th of a run of :func:`sample_fault` calls on one generator, since
-    all randomness comes from one stream drawn in blocks of
-    ``_DRAW_BLOCK`` trials, which bounds memory in the trial count.  The
-    decoder sees each trial's syndrome, XORed from ``single_qubit_tables``.
+    i-th of a run of :func:`sample_fault` calls on one generator, drawn in
+    blocks of ``_DRAW_BLOCK`` trials, which bounds memory in the trial
+    count.  The decoder must be a deterministic function of the observed
+    syndrome: each block asks it once per distinct syndrome and keeps the
+    coset word (``RowBasis.reduce``) of its answer, or None if it flags; a
+    trial is a logical error when its data error's word differs.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    n = checkset.n
     m = checkset.m
     rng = model.rng()
-    basis = checkset.code.row_basis
+    reduce = checkset.code.row_basis.reduce
     logical = 0
     flagged = 0
     for start in range(0, trials, _DRAW_BLOCK):
-        block = rng.random((min(_DRAW_BLOCK, trials - start), n + m))
+        block = rng.random((min(_DRAW_BLOCK, trials - start), checkset.n + m))
+        decided: dict[int, int | None] = {}
         for e, s, f in zip(*_sample_block(model, block, checkset.single_qubit_tables)):
-            correction = decoder(BitVector(s ^ f, m))
-            if correction is None:
+            if (observed := s ^ f) not in decided:
+                correction = decoder(BitVector(observed, m))
+                decided[observed] = None if correction is None else reduce(correction.data.bits)
+            coset = decided[observed]
+            if coset is None:
                 flagged += 1
-            elif not basis.contains(correction.data.bits ^ e):
+            elif coset != reduce(e):
                 logical += 1
     return TrialStats(trials, logical, flagged)

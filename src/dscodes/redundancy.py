@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import CheckSet, StabilizerCode, iter_error_syndromes
+from .code import CheckSet, StabilizerCode, iter_error_syndromes, pure_distance
 from .symplectic import BitMatrix, RowBasis
 from .verify import FaultBudget, check_global
 
@@ -220,12 +220,9 @@ def random_augment(
     m = math.ceil(r / (1.0 - binary_entropy(cfg.delta)))
     t = math.ceil(cfg.delta * m)
     if pure_dist is None:
-        from .code import pure_distance
-
         pure_dist = pure_distance(code, code.n)
         if pure_dist is None:
             raise ValueError("code has no nontrivial commuting operator; not supported")
-    gen_rows = code.generator_matrix.rows
     rejections = {"rank": 0, "light_syndrome": 0}
     for attempt in range(cfg.max_attempts):
         rng = _attempt_rng(cfg.seed, attempt)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -225,6 +226,64 @@ class TestUsageErrors:
         assert status == 2 and text == ""
         assert "budget cap must be nonnegative" in capsys.readouterr().err
 
+    def test_negative_cutoff_refused(self, capsys):
+        status, text = run(["distance", "--code", "steane_css", "--cutoff", "-1"])
+        assert status == 2 and text == ""
+        assert "cutoff must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "bound symmetric --n 5 --k 1 --r 1 --t -1",
+            "bound singleton --n 5 --k 1 --d -3",
+            "bound gv --n 5 --k 7 --d 3",
+            "bound hybrid --nq 5 --nc 5 --tq 1 --tc 1 --s -1",
+        ],
+    )
+    def test_vacuous_bound_refused(self, argv):
+        assert run(argv.split()) == (2, "")
+
     def test_missing_subcommand_flag(self):
         status, _ = run(["bound", "symmetric", "--n", "5"])
         assert status == 2
+
+
+# Exit status and sha256 of stdout for a fixed command list: the README
+# examples, the three tables and an ML simulation.  Stdout is a data
+# contract, so any refactor must leave these byte for byte unchanged.
+_STDOUT_CONTRACT = [
+    ("tables I", 0,
+     "2e6bdb07979c9683886d4f88da304d28940dd9e17980dc3b96a254856c8ed15b"),
+    ("tables II", 0,
+     "eed9197ac30f7d292bdbdf3aee062a50b0d0b88d536e231bd0f74708edcaf297"),
+    ("tables III", 0,
+     "59266488750f92694a1330eaf38b3afea2f96a9dc71aa5e0ef3a71ac0ea2dc47"),
+    ("distance --code steane_css --cutoff 7", 0,
+     "88950dce63652ea21ae6545f3883f33e67c26827ed98bf8a2dab722e60554194"),
+    ("verify-global --checkset five_qubit --budget sym:1", 1,
+     "59467d1175ce9edf11096abfc3752657bdc8166bb5973c7ae0b952d17bcd61b1"),
+    ("verify-lemma1 --checkset five_qubit --d 3", 1,
+     "7aa36febcf534209cb9d3a44c122ec5eb790e64a867c858455415f5537af13a6"),
+    ("verify-oa --code five_qubit --l 2", 0,
+     "ae6ecb706e62bd82db3bf34779adf55833d73cf9053b86055949bde680fda1c2"),
+    ("bound symmetric --n 5 --k 1 --r 1 --t 1", 0,
+     "4eb4d349739937c68a45c1102e7d433951dee8ee83f16271e5924dc876c74ed1"),
+    ("augment --code five_qubit --method parity", 0,
+     "0c01adb994332bdf66ca3e9b1d15a8d25e1ee84248a1f5591371563070209898"),
+    ("augment --code five_qubit --method random --delta 0.25 --seed 7", 0,
+     "a83f03b24816d0ad79d96a9c2608ebc424e4ef364cd5a035f999aaebef411f8f"),
+    ("resynth --code steane_css --budget sym:1 --attempts 2000 --seed 5", 0,
+     "52dc603ebfd78ff2bbf9f94253a5ea7bb57fe6026e77335aece0b7d1e35c1d9d"),
+    ("simulate --checkset five_qubit --budget asym:1,0 --p 0.01 --q 0.005 --trials 100000 --seed 42", 0,
+     "cbcb36a6c5b998be5fe982528f6d6ff8d925275ed9136ab7472244e5d649214d"),
+    ("simulate --checkset steane_alt --budget sym:1 --p 0.01 --q 0.01 --trials 200 --seed 3 --ml", 0,
+     "e8d4f723ca3f9e4132bda5c6cc0214d11f2fc834b2b70ee48b5f9a2f56d5c7be"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status, digest", _STDOUT_CONTRACT, ids=[c[0] for c in _STDOUT_CONTRACT]
+)
+def test_stdout_contract(argv, status, digest):
+    got_status, text = run(argv.split())
+    assert (got_status, hashlib.sha256(text.encode()).hexdigest()) == (status, digest)

@@ -295,3 +295,55 @@ class TestRunTrials:
             elif not equivalent_data(augmented_five.code, got.data, fault.data):
                 logical += 1
         assert (stats.logical_errors, stats.flagged_uncorrectable) == (logical, flagged)
+
+    @staticmethod
+    def _per_trial(checkset, decoder, model, trials):
+        """(logical, flagged) from a sample_fault loop that decodes every trial."""
+        rng = model.rng()
+        logical = 0
+        flagged = 0
+        for _ in range(trials):
+            fault = sample_fault(model, checkset.n, checkset.m, rng)
+            got = decoder(observed_syndrome(checkset, fault))
+            if got is None:
+                flagged += 1
+            elif not equivalent_data(checkset.code, got.data, fault.data):
+                logical += 1
+        return logical, flagged
+
+    def test_ml_counts_match_per_trial_decoding(self, augmented_five):
+        model = NoiseModel(p=0.08, q=0.04, seed=21)
+        decoder = lambda s: ml_decode(augmented_five, s, model, 2)
+        stats = run_trials(augmented_five, decoder, model, 400)
+        reference = self._per_trial(augmented_five, decoder, model, 400)
+        assert (stats.logical_errors, stats.flagged_uncorrectable) == reference
+        assert reference[0] > 0
+
+    def test_decoder_asked_once_per_distinct_syndrome_per_block(self, augmented_five, table_ii):
+        model = NoiseModel(p=0.08, q=0.04, seed=13)
+        trials = 2 * _DRAW_BLOCK + 7
+        asked = []
+
+        def decoder(observed):
+            asked.append(observed.bits)
+            return decode(table_ii, observed)
+
+        run_trials(augmented_five, decoder, model, trials)
+        rng = model.rng()
+        observed = [
+            observed_syndrome(augmented_five, sample_fault(model, 5, 5, rng)).bits
+            for _ in range(trials)
+        ]
+        expected = []
+        for start in range(0, trials, _DRAW_BLOCK):
+            expected.extend(dict.fromkeys(observed[start : start + _DRAW_BLOCK]))
+        assert asked == expected
+        assert len(expected) < trials
+
+    def test_flagging_decoder_matches_per_trial_counts(self, augmented_five, table_ii):
+        model = NoiseModel(p=0.08, q=0.04, seed=5)
+        decoder = lambda s: None if s.bits % 3 == 0 else decode(table_ii, s)
+        stats = run_trials(augmented_five, decoder, model, 3000)
+        logical, flagged = self._per_trial(augmented_five, decoder, model, 3000)
+        assert (stats.logical_errors, stats.flagged_uncorrectable) == (logical, flagged)
+        assert flagged > 0 and logical > 0

@@ -292,6 +292,26 @@ class TestBounds:
         r = hybrid_hamming(5, 5, 1, 1, 5)
         assert (r.lhs, r.rhs, r.satisfied) == (96, 32, False)
 
+    @pytest.mark.parametrize(
+        "bound, args",
+        [
+            pytest.param(symmetric_hamming, (5, 1, 1, -1), id="symmetric-t"),
+            pytest.param(symmetric_hamming, (5, 1, -1, 1), id="symmetric-r"),
+            pytest.param(symmetric_hamming, (5, 6, 1, 1), id="symmetric-k"),
+            pytest.param(hybrid_hamming, (5, 5, -1, 1, 5), id="hybrid-tq"),
+            pytest.param(hybrid_hamming, (5, 5, 1, -1, 5), id="hybrid-tc"),
+            pytest.param(hybrid_hamming, (5, 5, 1, 1, -1), id="hybrid-s"),
+            pytest.param(gv_check, (5, 7, 3), id="gv-k-above-n"),
+            pytest.param(gv_check, (5, -1, 3), id="gv-k-negative"),
+            pytest.param(gv_check, (9, 1, 0), id="gv-d"),
+            pytest.param(singleton_check, (5, 1, -3), id="singleton-d"),
+            pytest.param(singleton_check, (5, 6, 3), id="singleton-k"),
+        ],
+    )
+    def test_vacuous_inputs_refused(self, bound, args):
+        with pytest.raises(ValueError):
+            bound(*args)
+
     @given(st.floats(0.01, 0.99))
     @settings(max_examples=30)
     def test_entropy_symmetry(self, x):
