@@ -214,7 +214,8 @@ def random_augment(
     per-attempt streams up to ``cfg.max_attempts``.
 
     ``pure_dist`` defaults to an exhaustive scan for the code's pure
-    distance, which the caller can pass in to skip.
+    distance, which the caller can pass in to skip.  A ``pure_dist`` below
+    1 is refused: it would accept a draw without checking any error.
     """
     r = _mask_bits(code)
     m = math.ceil(r / (1.0 - binary_entropy(cfg.delta)))
@@ -223,6 +224,8 @@ def random_augment(
         pure_dist = pure_distance(code, code.n)
         if pure_dist is None:
             raise ValueError("code has no nontrivial commuting operator; not supported")
+    elif pure_dist < 1:
+        raise ValueError(f"pure_dist must be at least 1, got {pure_dist}")
     rejections = {"rank": 0, "light_syndrome": 0}
     for attempt in range(cfg.max_attempts):
         rng = _attempt_rng(cfg.seed, attempt)

@@ -1,14 +1,17 @@
 """Exhaustive verifiers for joint data/syndrome error correction.
 
 ``iter_faults`` enumerates every fault a :class:`FaultBudget` admits; it
-is the one fault loop behind ``check_global`` and the syndrome tables.
-``check_global`` demands that faults sharing an observed syndrome have data
-parts that differ only by a stabilizer element (identical action on the
-encoded state).  It streams the faults once, keeping per syndrome only the
-least fault and the least fault from another stabilizer coset, which is
-all the canonical witness needs.  ``lemma1_check`` tests
-the cheaper, equivalent condition for symmetric budgets that low weight
-data errors either have heavy syndromes or are stabilizer elements.
+is the one fault loop behind the syndrome tables and the all-pairs mode of
+``check_global``.  ``check_global`` demands that faults sharing an observed
+syndrome have data parts that differ only by a stabilizer element
+(identical action on the encoded state).  It decides this without listing
+flips: two data errors from different cosets can be made to collide
+exactly when their syndromes differ in at most as many bits as the budget
+lets both flip, so one scan over pairs of data errors finds the canonical
+witness, in memory linear in the number of data errors.
+``lemma1_check`` tests the cheaper, equivalent condition for symmetric
+budgets that low weight data errors either have heavy syndromes or are
+stabilizer elements.
 ``oa_check`` verifies the uniform local-action statistics of a stabilizer.
 The bound predicates live in :mod:`dscodes.bounds`.
 """
@@ -126,16 +129,15 @@ def equivalent_data(code: StabilizerCode, e1: BitVector, e2: BitVector) -> bool:
 def _zx_interleaved(e_bits: int, n: int) -> int:
     """Re-pack an (x|z) error vector qubit-major for canonical ordering.
 
-    Qubit q occupies bits 2q (z) and 2q+1 (x), so integer comparison sorts
-    by earliest touched qubit and, on the same qubit, I < Z < X < Y.
+    Qubit q occupies bits 2q (z) and 2q+1 (x).  Integer comparison thus
+    ranks errors by the highest qubit on which they differ, and on that
+    qubit I < Z < X < Y: IZI (4) sorts before ZZI (5), which sorts
+    before IXI (8).
     """
-    out = 0
+    # Read as base-4 digits, the binary digits of z (or x) put bit q at 2q.
     x = e_bits & ((1 << n) - 1)
     z = e_bits >> n
-    for q in range(n):
-        out |= ((z >> q) & 1) << (2 * q)
-        out |= ((x >> q) & 1) << (2 * q + 1)
-    return out
+    return int(f"{z:b}", 4) | int(f"{x:b}", 4) << 1
 
 
 def iter_faults(
@@ -182,28 +184,39 @@ def check_global(
 ) -> CollisionReport:
     """Exhaustively test distinguishability of all faults within a budget.
 
-    The default implementation makes one pass over the faults and keeps
-    two flat maps keyed by observed syndrome: ``least``, the least fault
-    seen, and ``other``, the least fault whose stabilizer coset differs
-    from it.  A fault that displaces ``least`` from another coset moves
-    the old holder to ``other``; one that does not displace it competes
-    for ``other`` if its coset differs.  The check passes iff ``other`` is
-    empty.  ``all_pairs=True`` compares every fault pair directly
-    (differential-testing aid, cost quadratic in the fault count).
-    Budgets whose enumeration exceeds ``candidate_cap`` (counting pairs in
-    all-pairs mode) are refused.
+    The default mode never lists flips.  Let cap(e) be the largest flip
+    weight the budget admits next to the data error e.  Faults (e1, f1)
+    and (e2, f2) collide iff e1 and e2 lie in different stabilizer cosets
+    and f1 ^ f2 = d, where d = s(e1) ^ s(e2); such flips exist iff
+    wt(d) <= cap1 + cap2, and then e1 and e2 are partners.  The data
+    errors are sorted by the canonical key below and scanned for the
+    first e1 with a later partner; the relation is symmetric, so no
+    earlier error has one.  The witness's lesser fault is e1 with the
+    least, over its partners, of the lowest wt(d) - cap2 bits of d (a
+    flip meeting e2 holds at least that many bits of d, and the lowest
+    make the least integer).  Its greater fault is the first later e2
+    from another coset within cap2 flips of that observed syndrome.
+    Cosets are reduced only for pairs with near syndromes.  Memory is
+    linear in the number N of admitted data errors; a passing budget
+    costs N^2/2 syndrome XOR-popcounts and a failing one stops at its
+    witness.  ``faults_checked`` is :func:`fault_count`.
 
-    The reported witness is canonical regardless of enumeration schedule:
-    faults carrying a data error order before pure flip patterns, data
-    parts compare qubit-major with I < Z < X < Y per qubit, and flip
-    patterns compare by lowest flipped bit.
+    ``all_pairs=True`` enumerates every fault and compares every pair
+    directly (differential-testing aid, cost quadratic in the fault
+    count).  Budgets whose fault count exceeds ``candidate_cap``
+    (counting pairs in all-pairs mode) are refused.
+
+    The reported witness is canonical, the least colliding pair, in
+    both modes: faults carrying a data error order before pure flip
+    patterns, data parts compare as :func:`_zx_interleaved` integers
+    (by the highest qubit on which they differ, I < Z < X < Y there),
+    and flip patterns compare as integers (by the highest bit in which
+    they differ, so flips {1} < {0, 2}).
     """
     n = checkset.n
     m = checkset.m
     _refuse_over_cap(budget, n, m, candidate_cap, pairwise=all_pairs)
     reduce = checkset.code.row_basis.reduce
-    # Both modes key a fault by (e == 0, _zx_interleaved(e, n), f), built once
-    # per e: data-bearing faults order before pure flip patterns.
 
     if all_pairs:
         faults = []
@@ -224,33 +237,40 @@ def check_global(
         lo, hi = best[2], best[3]
         return _collision((lo[1], lo[2]), (hi[1], hi[2]), lo[3], len(faults), n, m)
 
-    # least[o]: the least fault observed as o, as (e == 0, zx, f, e, coset), whose
-    # first three fields are its unique key; other[o]: the least one at o from
-    # another coset, so only ambiguous o have one.
-    least: dict[int, tuple[bool, int, int, int, int]] = {}
-    other: dict[int, tuple[bool, int, int, int, int]] = {}
-    checked = 0
-    for e, s, _, flips in iter_faults(checkset, budget):
-        coset = reduce(e)
-        checked += len(flips)
-        flips_only, zx = e == 0, _zx_interleaved(e, n)
-        for f in flips:
-            fault = (flips_only, zx, f, e, coset)
-            observed = s ^ f
-            held = least.get(observed)
-            if held is None or fault < held:
-                least[observed] = fault
-                if held is not None and held[4] != coset:
-                    other[observed] = held
-            elif held[4] != coset:
-                rival = other.get(observed)
-                if rival is None or fault < rival:
-                    other[observed] = fault
-    if not other:
-        return CollisionReport(ok=True, faults_checked=checked)
-    observed = min(other, key=lambda o: (least[o], other[o]))
-    lo, hi = least[observed], other[observed]
-    return _collision((lo[3], lo[2]), (hi[3], hi[2]), observed, checked, n, m)
+    # caps[w]: the largest flip weight admitted next to data weight w, or -1.
+    caps = [
+        max((fw for fw in range(budget.flip_max + 1) if budget.admits(w, fw)), default=-1)
+        for w in range(budget.data_max + 1)
+    ]
+    # (key, e, s, cap) per admitted data error, in canonical key order.
+    scan = sorted(
+        ((e == 0, _zx_interleaved(e, n)), e, s, caps[w])
+        for e, s, w in iter_error_syndromes(checkset, 0, budget.data_max)
+        if caps[w] >= 0
+    )
+    checked = fault_count(budget, n, m)
+    for i, (_, e1, s1, cap1) in enumerate(scan):
+        near = [x for x in scan[i + 1 :] if (s1 ^ x[2]).bit_count() - x[3] <= cap1]
+        if not near:
+            continue
+        coset1 = reduce(e1)
+        partners = [(e2, s2, cap2) for _, e2, s2, cap2 in near if reduce(e2) != coset1]
+        if not partners:
+            continue
+        f1 = min(_lowest_bits(s1 ^ s2, (s1 ^ s2).bit_count() - cap2) for _, s2, cap2 in partners)
+        observed = s1 ^ f1
+        e2, s2 = next((e2, s2) for e2, s2, cap2 in partners if (observed ^ s2).bit_count() <= cap2)
+        return _collision((e1, f1), (e2, observed ^ s2), observed, checked, n, m)
+    return CollisionReport(ok=True, faults_checked=checked)
+
+
+def _lowest_bits(word: int, count: int) -> int:
+    """The lowest ``count`` set bits of word (none if count <= 0)."""
+    out = 0
+    for _ in range(count):
+        low = word & -word
+        out, word = out | low, word ^ low
+    return out
 
 
 def _collision(lo, hi, observed: int, checked: int, n: int, m: int) -> CollisionReport:

@@ -249,8 +249,9 @@ class TestUsageErrors:
 
 
 # Exit status and sha256 of stdout for a fixed command list: the README
-# examples, the three tables and an ML simulation.  Stdout is a data
-# contract, so any refactor must leave these byte for byte unchanged.
+# examples, the three tables, verify-global passes and witnesses at heavier
+# budgets, and an ML simulation.  Stdout is a data contract, so any
+# refactor must leave these byte for byte unchanged.
 _STDOUT_CONTRACT = [
     ("tables I", 0,
      "2e6bdb07979c9683886d4f88da304d28940dd9e17980dc3b96a254856c8ed15b"),
@@ -262,6 +263,14 @@ _STDOUT_CONTRACT = [
      "88950dce63652ea21ae6545f3883f33e67c26827ed98bf8a2dab722e60554194"),
     ("verify-global --checkset five_qubit --budget sym:1", 1,
      "59467d1175ce9edf11096abfc3752657bdc8166bb5973c7ae0b952d17bcd61b1"),
+    ("verify-global --checkset steane_alt --budget sym:1", 0,
+     "4f84fef05a63eafaf8955b710b291875c7c957e651502b7928d7984fedf9f0e3"),
+    ("verify-global --checkset steane_css --budget sym:2", 1,
+     "d75b5e5f850dbf1efb212a956a72103f77dbceecc06f1de9d0cefc0de4123b3b"),
+    ("verify-global --checkset steane_alt --budget asym:1,2", 1,
+     "1fd2d70b06b1006ae931962cb5e0386adac9266560b40fdc8591c1ada0d961cd"),
+    ("verify-global --checkset five_qubit --budget asym:2,1", 1,
+     "b08156b16a74ca2a0e5013414c75a367c03910ee417545aa816948392cb5f27a"),
     ("verify-lemma1 --checkset five_qubit --d 3", 1,
      "7aa36febcf534209cb9d3a44c122ec5eb790e64a867c858455415f5537af13a6"),
     ("verify-oa --code five_qubit --l 2", 0,

@@ -150,6 +150,13 @@ class TestRandomAugment:
         with pytest.raises(ValueError):
             RandomSearchConfig(delta=0.25, seed=0, max_attempts=0)
 
+    @pytest.mark.parametrize("pure_dist", [0, -2])
+    def test_vacuous_pure_distance_refused(self, five, pure_dist):
+        # Weights 1..pure_dist-1 are empty, so the first full-rank draw
+        # would be accepted without checking a single error.
+        with pytest.raises(ValueError, match="pure_dist"):
+            random_augment(five, RandomSearchConfig(0.25, 1), pure_dist=pure_dist)
+
     def test_entropy_values(self):
         assert binary_entropy(0.5) == pytest.approx(1.0)
         assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-15)

@@ -1,17 +1,29 @@
+import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dscodes.bounds import gv_check, hybrid_hamming, singleton_check, symmetric_hamming
-from dscodes.code import CheckSet, Fault, StabilizerCode, five_qubit, iter_error_syndromes, steane_css
+from dscodes.code import (
+    CheckSet,
+    Fault,
+    StabilizerCode,
+    five_qubit,
+    iter_error_syndromes,
+    load_code,
+    observed_syndrome,
+    steane_css,
+)
 from dscodes.decode import UncorrectableBudgetError, _table_key, build_table
-from dscodes.redundancy import css_parity_pair, parity_augment
+from dscodes.redundancy import css_parity_pair, double_construction, parity_augment
 from dscodes.symplectic import BitVector, parse_pauli
 from dscodes.verify import (
     CandidateCapError,
     FaultBudget,
+    _zx_interleaved,
     check_global,
     equivalent_data,
     fault_count,
@@ -19,6 +31,16 @@ from dscodes.verify import (
     lemma1_check,
     oa_check,
 )
+
+from reference_tables import bucketed_check_global
+
+CODE_11_1_5 = load_code(Path(__file__).parent.parent / "src" / "dscodes" / "data" / "code_11_1_5.txt")
+
+
+@pytest.fixture(scope="module")
+def d5_double():
+    """The 21-row double construction on the bundled [[11,1,5]] code."""
+    return double_construction(CODE_11_1_5)
 
 
 class TestFaultBudget:
@@ -113,6 +135,51 @@ class TestCheckGlobal:
             check_global(bare_five, FaultBudget.symmetric(3), candidate_cap=10)
 
 
+# The 21-row double construction's reports as (ok, witness, syndrome,
+# faults_checked), as recorded in perfbench/golden.json.
+_D5_DOUBLE_REPORTS = {
+    "sym:2": (True, None, None, 1453),
+    "sym:3": (
+        False,
+        ("data=ZIIIIIIIIII flips=010100000000000000000", "data=IXIIIIIIIII flips=000010100000000000000"),
+        "001000000100010011001",
+        24563,
+    ),
+    "asym:2,2": (
+        False,
+        ("data=ZIIIIIIIIII flips=110000000000000000000", "data=IZIIIIIZIII flips=000000000000000010001"),
+        "101100000100010011001",
+        122728,
+    ),
+    "asym:2,3": (
+        False,
+        ("data=ZIIIIIIIIII flips=100000000000000000000", "data=XIIIIIZIIII flips=000110010000000000000"),
+        "111100000100010011001",
+        826298,
+    ),
+}
+
+
+class TestDoubleConstructionReports:
+    @pytest.mark.parametrize("budget", sorted(_D5_DOUBLE_REPORTS))
+    def test_pinned_report(self, d5_double, budget):
+        report = check_global(d5_double, FaultBudget.parse(budget))
+        witness = report.witness and tuple(f.describe() for f in report.witness)
+        syndrome = report.syndrome and report.syndrome.to01()
+        assert (report.ok, witness, syndrome, report.faults_checked) == _D5_DOUBLE_REPORTS[budget]
+
+    def test_memory_does_not_grow_with_flips(self, d5_double):
+        # 826,298 faults; bucketing them by syndrome peaked at about 100 MiB.
+        budget = FaultBudget.parse("asym:2,3")
+        tracemalloc.start()
+        try:
+            check_global(d5_double, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 _CODES = (five_qubit(), steane_css())
 
 
@@ -128,6 +195,49 @@ small_budgets = st.one_of(
     st.integers(0, 2).map(FaultBudget.symmetric),
     st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda ab: FaultBudget.asymmetric(*ab)),
 )
+
+
+@st.composite
+def code_11_1_5_extensions(draw):
+    """The bundled [[11,1,5]] generators plus up to three stabilizer elements."""
+    r = len(CODE_11_1_5.generators)
+    masks = draw(st.lists(st.integers(0, (1 << r) - 1), max_size=3))
+    return CheckSet(CODE_11_1_5, CODE_11_1_5.generators + tuple(map(CODE_11_1_5.element, masks)))
+
+
+wide_budgets = st.one_of(
+    st.integers(0, 3).map(FaultBudget.symmetric),
+    st.tuples(st.integers(0, 2), st.integers(0, 3)).map(lambda ab: FaultBudget.asymmetric(*ab)),
+)
+
+
+class TestCanonicalOrder:
+    def test_data_parts_rank_by_highest_differing_qubit(self):
+        paulis = ["IZI", "ZZI", "IXI", "IYI", "IIZ"]
+        keys = [_zx_interleaved(parse_pauli(p).error_vector().bits, 3) for p in paulis]
+        assert keys == [4, 5, 8, 12, 16]
+
+    @given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 4**n - 1))))
+    @settings(max_examples=60)
+    def test_interleaving_matches_per_qubit_packing(self, n_and_bits):
+        n, e = n_and_bits
+        expected = sum(
+            ((e >> (n + q)) & 1) << (2 * q) | ((e >> q) & 1) << (2 * q + 1) for q in range(n)
+        )
+        assert _zx_interleaved(e, n) == expected
+
+    def test_flip_masks_compare_as_integers(self, d5_double):
+        # ZIIIIIIIIII collides with flips {1} and with {0, 1, 3}; as integers
+        # 0b10 < 0b1011, though {0, 1, 3} has the lower lowest flipped bit.
+        budget = FaultBudget.asymmetric(1, 3)
+        lo = check_global(d5_double, budget).witness[0]
+        assert str(lo.data_pauli()) == "ZIIIIIIIIII" and lo.flips.support() == (1,)
+        reduce = d5_double.code.row_basis.reduce
+        rival = observed_syndrome(d5_double, Fault(lo.data, BitVector(0b1011, d5_double.m))).bits
+        assert any(
+            (rival ^ s).bit_count() <= 3 and reduce(e) != reduce(lo.data.bits)
+            for e, s, _ in iter_error_syndromes(d5_double, 0, 1)
+        )
 
 
 class TestFaultEnumeration:
@@ -148,6 +258,20 @@ class TestFaultEnumeration:
         if not fast.ok:
             a, b = fast.witness
             assert not equivalent_data(checkset.code, a.data, b.data)
+
+    @given(small_checksets(), wide_budgets)
+    @settings(max_examples=80, deadline=None)
+    def test_scan_matches_bucketed_reference(self, checkset, budget):
+        # The reference is linear in the fault count, so budgets reach past
+        # the all-pairs oracle's 500 faults.
+        assert check_global(checkset, budget) == bucketed_check_global(checkset, budget)
+
+    @pytest.mark.parametrize("budget", ["sym:2", "sym:3", "asym:1,3", "asym:2,2", "asym:2,3"])
+    @given(checkset=code_11_1_5_extensions())
+    @settings(max_examples=6, deadline=None)
+    def test_scan_matches_bucketed_reference_on_11_qubits(self, checkset, budget):
+        budget = FaultBudget.parse(budget)
+        assert check_global(checkset, budget) == bucketed_check_global(checkset, budget)
 
     @given(small_checksets(), small_budgets)
     @settings(max_examples=60, deadline=None)
