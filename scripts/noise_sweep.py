@@ -26,6 +26,15 @@ def main() -> int:
                         help="comma-separated p values; q = p/2 at each point")
     args = parser.parse_args()
 
+    try:
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        models = [NoiseModel(p=p, q=p / 2.0, seed=args.seed)
+                  for p in map(float, args.rates.split(","))]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     five = five_qubit()
     bare = CheckSet.from_code(five)
     augmented = parity_augment(five)
@@ -33,18 +42,16 @@ def main() -> int:
     augmented_table = build_table(augmented, FaultBudget.symmetric(1))
 
     print("decoder\tp\tq\ttrials\tfailures\tlogical\tflagged\tseed")
-    for p_text in args.rates.split(","):
-        p = float(p_text)
-        q = p / 2.0
-        model = NoiseModel(p=p, q=q, seed=args.seed)
+    for model in models:
         for name, checkset, table in (
             ("bare-data-only", bare, bare_table),
             ("parity-augmented", augmented, augmented_table),
         ):
             stats = run_trials(checkset, lambda s: decode(table, s), model, args.trials)
             print(
-                f"{name}\t{p:.6f}\t{q:.6f}\t{stats.trials}\t{stats.decoding_failures}"
-                f"\t{stats.logical_errors}\t{stats.flagged_uncorrectable}\t{args.seed}"
+                f"{name}\t{model.p:.6f}\t{model.q:.6f}\t{stats.trials}"
+                f"\t{stats.decoding_failures}\t{stats.logical_errors}"
+                f"\t{stats.flagged_uncorrectable}\t{args.seed}"
             )
     return 0
 

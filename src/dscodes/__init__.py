@@ -35,7 +35,6 @@ from .decode import (
     sample_fault,
 )
 from .redundancy import (
-    PhfMatrix,
     RandomSearchConfig,
     binary_entropy,
     css_parity_pair,
@@ -47,14 +46,11 @@ from .redundancy import (
 )
 from .search import find_distance_code
 from .symplectic import (
-    BitMatrix,
     BitVector,
     PauliString,
     format_pauli,
-    in_row_space,
     multiply,
     parse_pauli,
-    rank,
     symplectic_product,
 )
 from .verify import (

@@ -2,9 +2,8 @@
 
 A :class:`StabilizerCode` is identified by an independent commuting
 generator list; a :class:`CheckSet` is an ordered, possibly redundant list
-of stabilizer operators actually measured for syndrome extraction, together
-with its binary check matrix of error vectors.  A :class:`Fault` pairs a
-data error with a syndrome flip pattern.
+of stabilizer operators actually measured for syndrome extraction.  A
+:class:`Fault` pairs a data error with a syndrome flip pattern.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .symplectic import (
-    BitMatrix,
     BitVector,
     DimensionError,
     PauliString,
@@ -117,14 +115,9 @@ class StabilizerCode:
         return self.n - len(self.generators)
 
     @functools.cached_property
-    def generator_matrix(self) -> BitMatrix:
-        """(n-k) x 2n matrix whose rows are the generators' error vectors."""
-        return BitMatrix.from_vectors(g.error_vector() for g in self.generators)
-
-    @functools.cached_property
     def row_basis(self) -> RowBasis:
         """Echelon basis of the generator row space, for membership tests."""
-        return RowBasis(self.generator_matrix.rows)
+        return RowBasis(g.error_vector().bits for g in self.generators)
 
     def contains_vector(self, e: BitVector) -> bool:
         """True iff ``e`` is the error vector of a stabilizer element."""
@@ -183,15 +176,10 @@ class CheckSet:
         return self.m - (self.n - self.code.k)
 
     @functools.cached_property
-    def matrix(self) -> BitMatrix:
-        """m x 2n check matrix of the operators' error vectors."""
-        return BitMatrix.from_vectors(op.error_vector() for op in self.operators)
-
-    @functools.cached_property
     def _partner_rows(self) -> tuple[int, ...]:
         # Bit i of the syndrome is parity(partner_i AND e): the symplectic
         # form reduces to a plain dot product once halves are swapped.
-        return tuple(_swap_halves(r, self.n) for r in self.matrix.rows)
+        return tuple(_swap_halves(op.error_vector().bits, self.n) for op in self.operators)
 
     def syndrome_int(self, e_bits: int) -> int:
         out = 0

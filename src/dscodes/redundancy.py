@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import CheckSet, StabilizerCode, iter_error_syndromes, pure_distance
-from .symplectic import BitMatrix, RowBasis
+from .symplectic import RowBasis
 from .verify import FaultBudget, check_global
 
 __all__ = [
-    "PhfMatrix",
     "RandomAugmentResult",
     "RandomSearchConfig",
     "ResynthesisResult",
@@ -83,49 +82,23 @@ def css_parity_pair(code: StabilizerCode) -> CheckSet:
     return CheckSet(code, code.generators + (code.element(x_mask), code.element(z_mask)))
 
 
-@dataclass(frozen=True)
-class PhfMatrix:
-    """An m x w binary matrix in which every column pair differs in some row."""
+def phf_matrix(w: int) -> tuple[int, ...]:
+    """Row masks of the smallest separating-column matrix on w columns.
 
-    entries: BitMatrix
-
-    def __post_init__(self) -> None:
-        m, w = self.entries.nrows, self.entries.ncols
-        cols = [
-            tuple((self.entries.rows[i] >> j) & 1 for i in range(m)) for j in range(w)
-        ]
-        if len(set(cols)) != w:
-            raise ValueError("columns are not pairwise distinct")
-
-    @property
-    def m(self) -> int:
-        return self.entries.nrows
-
-    @property
-    def w(self) -> int:
-        return self.entries.ncols
-
-    def row_selector(self, i: int) -> tuple[int, ...]:
-        """Column indices whose entry in row i is 1."""
-        return tuple(j for j in range(self.w) if (self.entries.rows[i] >> j) & 1)
-
-
-def phf_matrix(w: int) -> PhfMatrix:
-    """Smallest separating-column matrix on w columns: m = ceil(log2 w) rows.
-
-    Column j is the m-bit binary representation of j, most significant bit
-    in row 0, so any two columns differ in at least one row.
+    There are m = ceil(log2 w) rows, each a w-bit mask with column j at
+    bit j.  Column j is the m-bit binary representation of j, most
+    significant bit in row 0, so any two columns differ in at least one row.
     """
     if w < 2:
         raise ValueError(f"need at least 2 columns, got {w}")
-    m = math.ceil(math.log2(w))
+    m = (w - 1).bit_length()
     rows = []
     for i in range(m):
         row = 0
         for j in range(w):
             row |= ((j >> (m - 1 - i)) & 1) << j
         rows.append(row)
-    return PhfMatrix(BitMatrix(tuple(rows), w))
+    return tuple(rows)
 
 
 def double_construction(code: StabilizerCode) -> CheckSet:
@@ -146,10 +119,10 @@ def double_construction(code: StabilizerCode) -> CheckSet:
     gens = code.generators
     total = code.element((1 << r) - 1)
     selector = phf_matrix(r)
-    n_block = tuple(map(code.element, selector.entries.rows))
+    n_block = tuple(map(code.element, selector))
     operators = gens + (total, total, total) + n_block + n_block
     checkset = CheckSet(code, operators)
-    assert checkset.m == r + 3 + 2 * selector.m
+    assert checkset.m == r + 3 + 2 * len(selector)
     return checkset
 
 

@@ -1,11 +1,13 @@
 """Bit-packed GF(2) linear algebra and phase-free Pauli strings.
 
-Vectors and matrix rows pack their F_2 entries into Python integers, one
-bit per coordinate with index 0 at the least significant bit, so the
+Vectors pack their F_2 entries into Python integers, one bit per
+coordinate with index 0 at the least significant bit, so the
 enumeration-heavy callers in this package work on whole words instead of
-per-bit branches.  An n-qubit Pauli operator is an (x, z) pair of n-bit
-masks; overall phases are never tracked, which is all that syndrome
-extraction and stabilizer-coset arguments need.
+per-bit branches.  A set of rows is a plain sequence of such ints; its
+span lives in a :class:`RowBasis`, the one elimination behind every rank,
+membership and coset-word question.  An n-qubit Pauli operator is an
+(x, z) pair of n-bit masks; overall phases are never tracked, which is all
+that syndrome extraction and stabilizer-coset arguments need.
 
 The error vector of a Pauli operator is the 2n-bit concatenation with the
 x part in bits 0..n-1 and the z part in bits n..2n-1.  This layout is part
@@ -20,16 +22,13 @@ from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BitVector",
-    "BitMatrix",
     "DimensionError",
     "PauliParseError",
     "PauliString",
     "RowBasis",
     "format_pauli",
-    "in_row_space",
     "multiply",
     "parse_pauli",
-    "rank",
     "symplectic_product",
 ]
 
@@ -123,38 +122,6 @@ class BitVector:
         return self.to01()
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """A binary matrix stored as packed row ints of common width ``ncols``."""
-
-    rows: tuple[int, ...]
-    ncols: int
-
-    def __post_init__(self) -> None:
-        limit = 1 << self.ncols
-        for i, r in enumerate(self.rows):
-            if not 0 <= r < limit:
-                raise ValueError(f"row {i} does not fit in {self.ncols} columns")
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[BitVector]) -> "BitMatrix":
-        vecs = tuple(vectors)
-        if not vecs:
-            raise ValueError("a matrix needs at least one row")
-        ncols = vecs[0].n
-        for i, v in enumerate(vecs):
-            if v.n != ncols:
-                raise DimensionError(f"row {i} has length {v.n}, expected {ncols}")
-        return cls(tuple(v.bits for v in vecs), ncols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.rows[i], self.ncols)
-
-
 class RowBasis:
     """Echelonized row-space basis over F_2 with cheap membership tests.
 
@@ -196,18 +163,6 @@ class RowBasis:
 
     def contains(self, word: int) -> bool:
         return self.reduce(word) == 0
-
-
-def rank(matrix: BitMatrix) -> int:
-    """GF(2) row rank by Gaussian elimination."""
-    return RowBasis(matrix.rows).rank
-
-
-def in_row_space(matrix: BitMatrix, v: BitVector) -> bool:
-    """True iff ``v`` is an F_2 combination of the rows of ``matrix``."""
-    if v.n != matrix.ncols:
-        raise DimensionError(f"vector length {v.n} does not match {matrix.ncols} columns")
-    return RowBasis(matrix.rows).contains(v.bits)
 
 
 _LETTER_FOR_XZ = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}

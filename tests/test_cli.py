@@ -1,5 +1,6 @@
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -250,8 +251,10 @@ class TestUsageErrors:
 
 # Exit status and sha256 of stdout for a fixed command list: the README
 # examples, the three tables, verify-global passes and witnesses at heavier
-# budgets, and an ML simulation.  Stdout is a data contract, so any
-# refactor must leave these byte for byte unchanged.
+# budgets, the constructions, and an ML simulation.  Stdout is a data
+# contract, so any refactor must leave these byte for byte unchanged.
+# ``{bundled}`` stands for the absolute path of the bundled [[11,1,5]] code.
+BUNDLED = Path(__file__).resolve().parents[1] / "src" / "dscodes" / "data" / "code_11_1_5.txt"
 _STDOUT_CONTRACT = [
     ("tables I", 0,
      "2e6bdb07979c9683886d4f88da304d28940dd9e17980dc3b96a254856c8ed15b"),
@@ -281,6 +284,10 @@ _STDOUT_CONTRACT = [
      "0c01adb994332bdf66ca3e9b1d15a8d25e1ee84248a1f5591371563070209898"),
     ("augment --code five_qubit --method random --delta 0.25 --seed 7", 0,
      "a83f03b24816d0ad79d96a9c2608ebc424e4ef364cd5a035f999aaebef411f8f"),
+    ("augment --code {bundled} --method phf-double", 0,
+     "4a707c4c05db42760b96fec10ea307773976291c60a5b3fce363b9b95f077e32"),
+    ("augment --code steane_css --method css-pair", 0,
+     "508871885204d2369ddba8736a55add8e7f8cfcf535be3338db3e2b86f6d5c72"),
     ("resynth --code steane_css --budget sym:1 --attempts 2000 --seed 5", 0,
      "52dc603ebfd78ff2bbf9f94253a5ea7bb57fe6026e77335aece0b7d1e35c1d9d"),
     ("simulate --checkset five_qubit --budget asym:1,0 --p 0.01 --q 0.005 --trials 100000 --seed 42", 0,
@@ -294,5 +301,5 @@ _STDOUT_CONTRACT = [
     "argv, status, digest", _STDOUT_CONTRACT, ids=[c[0] for c in _STDOUT_CONTRACT]
 )
 def test_stdout_contract(argv, status, digest):
-    got_status, text = run(argv.split())
+    got_status, text = run([word.format(bundled=BUNDLED) for word in argv.split()])
     assert (got_status, hashlib.sha256(text.encode()).hexdigest()) == (status, digest)

@@ -109,7 +109,7 @@ class TestSyndrome:
         offset = 0
         for i in range(4):
             if (mask >> i) & 1:
-                offset ^= code.generator_matrix.rows[i]
+                offset ^= code.generators[i].error_vector().bits
         e = BitVector(bits, 10)
         shifted = BitVector(bits ^ offset, 10)
         assert syndrome(checks, e) == syndrome(checks, shifted)

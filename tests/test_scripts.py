@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parent.parent
 BUNDLED = ROOT / "src" / "dscodes" / "data" / "code_11_1_5.txt"
 
@@ -46,3 +48,15 @@ def test_noise_sweep_smoke():
         failures, logical, flagged = map(int, fields[4:7])
         assert failures == logical + flagged <= 200
         assert fields[7] == "0"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--trials", "0"], ["--trials", "-5"], ["--rates", "3"], ["--rates", "0.01,abc"]],
+)
+def test_noise_sweep_refuses_bad_input(args):
+    # Every rate is parsed before the header prints, so a bad one late in
+    # the list leaves stdout empty.
+    result = run_script("noise_sweep.py", *args, check=False)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr

@@ -5,17 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dscodes.symplectic import (
-    BitMatrix,
     BitVector,
     DimensionError,
     PauliParseError,
     PauliString,
     RowBasis,
     format_pauli,
-    in_row_space,
     multiply,
     parse_pauli,
-    rank,
     symplectic_product,
 )
 
@@ -135,15 +132,14 @@ class TestMultiply:
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(BitMatrix((0, 0, 0), 4)) == 0
+        assert RowBasis((0, 0, 0)).rank == 0
 
     def test_identity(self):
-        assert rank(BitMatrix(tuple(1 << i for i in range(6)), 6)) == 6
+        assert RowBasis(1 << i for i in range(6)).rank == 6
 
     def test_five_qubit_generators(self):
         gens = [parse_pauli(s) for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
-        m = BitMatrix.from_vectors(g.error_vector() for g in gens)
-        assert rank(m) == 4
+        assert RowBasis(g.error_vector().bits for g in gens).rank == 4
 
     @given(
         st.lists(st.integers(0, 2**10 - 1), min_size=2, max_size=8),
@@ -151,38 +147,31 @@ class TestRank:
     )
     @settings(max_examples=50)
     def test_invariant_under_row_operations(self, rows, data):
-        m = BitMatrix(tuple(rows), 10)
-        base = rank(m)
+        base = RowBasis(rows).rank
         i = data.draw(st.integers(0, len(rows) - 1))
         j = data.draw(st.integers(0, len(rows) - 1))
         swapped = list(rows)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert rank(BitMatrix(tuple(swapped), 10)) == base
+        assert RowBasis(swapped).rank == base
         if i != j:
             added = list(rows)
             added[i] ^= added[j]
-            assert rank(BitMatrix(tuple(added), 10)) == base
+            assert RowBasis(added).rank == base
 
 
 class TestRowSpace:
     def test_zero_vector_always_member(self):
-        m = BitMatrix((0b1010, 0b0110), 4)
-        assert in_row_space(m, BitVector.zeros(4))
+        assert RowBasis((0b1010, 0b0110)).contains(0)
 
     def test_product_of_rows_is_member(self):
         gens = [parse_pauli(s) for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
-        m = BitMatrix.from_vectors(g.error_vector() for g in gens)
-        combo = multiply(gens[0], gens[2]).error_vector()
-        assert in_row_space(m, combo)
+        basis = RowBasis(g.error_vector().bits for g in gens)
+        assert basis.contains(multiply(gens[0], gens[2]).error_vector().bits)
 
     def test_single_x_not_member(self):
         gens = [parse_pauli(s) for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
-        m = BitMatrix.from_vectors(g.error_vector() for g in gens)
-        assert not in_row_space(m, parse_pauli("XIIII").error_vector())
-
-    def test_dimension_check(self):
-        with pytest.raises(DimensionError):
-            in_row_space(BitMatrix((1,), 2), BitVector.zeros(3))
+        basis = RowBasis(g.error_vector().bits for g in gens)
+        assert not basis.contains(parse_pauli("XIIII").error_vector().bits)
 
     def test_row_basis_incremental(self):
         basis = RowBasis()
