@@ -12,14 +12,13 @@ from .code import (
     CheckSet,
     Fault,
     StabilizerCode,
-    distance,
     five_qubit,
     load_checkset,
     load_code,
     observed_syndrome,
-    pure_distance,
     save_checkset,
     save_code,
+    scan_distances,
     steane_alternative,
     steane_css,
     syndrome,

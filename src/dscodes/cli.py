@@ -133,19 +133,23 @@ def _cmd_verify_oa(args) -> int:
     return 0 if ok else 1
 
 
+# family: (function, its integer flags in argument order, help)
+_BOUNDS = {
+    "symmetric": (bounds.symmetric_hamming, ("n", "k", "r", "t"), "combined t-error packing bound"),
+    "hybrid": (bounds.hybrid_hamming, ("nq", "nc", "tq", "tc", "s"), "mixed qubit/bit packing bound"),
+    "gv": (bounds.gv_check, ("n", "k", "d"), "existence guarantee"),
+    "singleton": (bounds.singleton_check, ("n", "k", "d"), "n-k >= 2(d-1) necessary condition"),
+}
+
+
 def _cmd_bound(args) -> int:
-    if args.family == "symmetric":
-        report = bounds.symmetric_hamming(args.n, args.k, args.r, args.t)
-    elif args.family == "hybrid":
-        report = bounds.hybrid_hamming(args.nq, args.nc, args.tq, args.tc, args.s)
-    elif args.family == "gv":
-        report = bounds.gv_check(args.n, args.k, args.d)
-    else:
-        ok = bounds.singleton_check(args.n, args.k, args.d)
-        print(f"{args.n - args.k} {'>=' if ok else '<'} {2 * (args.d - 1)}", file=args.out)
-        return 0 if ok else 1
-    print(str(report), file=args.out)
-    return 0 if report.satisfied else 1
+    function, flags, _ = _BOUNDS[args.family]
+    result = function(*(getattr(args, flag) for flag in flags))
+    if args.family == "singleton":
+        print(f"{args.n - args.k} {'>=' if result else '<'} {2 * (args.d - 1)}", file=args.out)
+        return 0 if result else 1
+    print(str(result), file=args.out)
+    return 0 if result.satisfied else 1
 
 
 def _provenance(args, extra: str = "") -> str:
@@ -168,40 +172,36 @@ def _emit_checkset(checkset: CheckSet, args, extra: str = "") -> None:
             print(str(op), file=args.out)
 
 
+def _random_draw(code: StabilizerCode, args) -> tuple[CheckSet, str]:
+    cfg = redundancy.RandomSearchConfig(delta=args.delta, seed=args.seed, max_attempts=args.attempts)
+    result = redundancy.random_augment(code, cfg)
+    return result.checkset, f"m: {result.m}\nflip tolerance t: {result.t}\nattempts: {result.attempts}"
+
+
+def _resynthesis(code: StabilizerCode, args) -> tuple[CheckSet, str]:
+    budget = FaultBudget.parse(args.budget)
+    result = redundancy.generator_resynthesis(code, budget, args.attempts, args.seed)
+    return result.checkset, f"attempts: {result.attempts}"
+
+
+# --method: construction(code, args) -> (check set, extra provenance lines)
+_CONSTRUCTIONS = {
+    "parity": lambda code, args: (redundancy.parity_augment(code), ""),
+    "css-pair": lambda code, args: (redundancy.css_parity_pair(code), ""),
+    "phf-double": lambda code, args: (redundancy.double_construction(code), ""),
+    "random": _random_draw,
+    "resynth": _resynthesis,
+}
+
+
 def _cmd_augment(args) -> int:
     code = _load_code_arg(args.code)
-    method = args.method
-    if method == "parity":
-        _emit_checkset(redundancy.parity_augment(code), args)
-        return 0
-    if method == "css-pair":
-        _emit_checkset(redundancy.css_parity_pair(code), args)
-        return 0
-    if method == "phf-double":
-        _emit_checkset(redundancy.double_construction(code), args)
-        return 0
-    if method == "random":
-        cfg = redundancy.RandomSearchConfig(
-            delta=args.delta, seed=args.seed, max_attempts=args.attempts
-        )
-        try:
-            result = redundancy.random_augment(code, cfg)
-        except redundancy.SearchFailure as exc:
-            print(f"search failed: {exc}", file=sys.stderr)
-            return 1
-        _emit_checkset(
-            result.checkset,
-            args,
-            f"m: {result.m}\nflip tolerance t: {result.t}\nattempts: {result.attempts}",
-        )
-        return 0
-    budget = FaultBudget.parse(args.budget)
     try:
-        result = redundancy.generator_resynthesis(code, budget, args.attempts, args.seed)
+        checkset, extra = _CONSTRUCTIONS[args.method](code, args)
     except redundancy.SearchFailure as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return 1
-    _emit_checkset(result.checkset, args, f"attempts: {result.attempts}")
+    _emit_checkset(checkset, args, extra)
     return 0
 
 
@@ -267,33 +267,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="packing and existence bounds, exact arithmetic")
     bsub = p.add_subparsers(dest="family", required=True)
-    b = bsub.add_parser("symmetric", help="combined t-error packing bound")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--r", type=int, required=True)
-    b.add_argument("--t", type=int, required=True)
-    b.set_defaults(func=_cmd_bound)
-    b = bsub.add_parser("hybrid", help="mixed qubit/bit packing bound")
-    b.add_argument("--nq", type=int, required=True)
-    b.add_argument("--nc", type=int, required=True)
-    b.add_argument("--tq", type=int, required=True)
-    b.add_argument("--tc", type=int, required=True)
-    b.add_argument("--s", type=int, required=True)
-    b.set_defaults(func=_cmd_bound)
-    b = bsub.add_parser("gv", help="existence guarantee")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--d", type=int, required=True)
-    b.set_defaults(func=_cmd_bound)
-    b = bsub.add_parser("singleton", help="n-k >= 2(d-1) necessary condition")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--k", type=int, required=True)
-    b.add_argument("--d", type=int, required=True)
-    b.set_defaults(func=_cmd_bound)
+    for family, (_, flags, help_text) in _BOUNDS.items():
+        b = bsub.add_parser(family, help=help_text)
+        for flag in flags:
+            b.add_argument(f"--{flag}", type=int, required=True)
+        b.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("augment", help="build a redundant check set")
     p.add_argument("--code", required=True)
-    p.add_argument("--method", required=True, choices=["parity", "css-pair", "phf-double", "random", "resynth"])
+    p.add_argument("--method", required=True, choices=list(_CONSTRUCTIONS))
     p.add_argument("--delta", type=float, default=0.25, help="flip fraction for --method random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attempts", type=int, default=100)

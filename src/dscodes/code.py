@@ -32,13 +32,11 @@ __all__ = [
     "FIXTURES",
     "StabilizerCode",
     "ValidationError",
-    "distance",
     "five_qubit",
     "iter_error_syndromes",
     "load_checkset",
     "load_code",
     "observed_syndrome",
-    "pure_distance",
     "save_checkset",
     "save_code",
     "scan_distances",
@@ -204,6 +202,11 @@ class Fault:
     data: BitVector
     flips: BitVector
 
+    @classmethod
+    def from_ints(cls, e_bits: int, f_bits: int, n: int, m: int) -> "Fault":
+        """Data bits ``e_bits`` on n qubits plus flip bits ``f_bits`` on m checks."""
+        return cls(BitVector(e_bits, 2 * n), BitVector(f_bits, m))
+
     @property
     def data_weight(self) -> int:
         """Pauli weight (touched qubits) of the data part."""
@@ -295,16 +298,6 @@ def scan_distances(code: StabilizerCode, cutoff: int) -> tuple[int | None, int |
     return d, d_pure
 
 
-def distance(code: StabilizerCode, cutoff: int) -> int | None:
-    """Minimum weight of an undetected logical error, or None if > cutoff."""
-    return scan_distances(code, cutoff)[0]
-
-
-def pure_distance(code: StabilizerCode, cutoff: int) -> int | None:
-    """Minimum weight of a nontrivial commuting operator, or None if > cutoff."""
-    return scan_distances(code, cutoff)[1]
-
-
 # ---------------------------------------------------------------------------
 # Built-in codes
 
@@ -359,26 +352,18 @@ FIXTURES = {
 _HEADER_RE = re.compile(r"^(\d+)\s+(\d+)$")
 
 
-def _parse_lines(path: str | Path) -> tuple[tuple[int, int] | None, list[tuple[int, str]]]:
+def _parse_operators(path: str | Path) -> tuple[tuple[int, int] | None, list[PauliString]]:
+    """The optional "n k" header, accepted only before any operator, and the operators."""
     header = None
-    entries: list[tuple[int, str]] = []
-    text = Path(path).read_text()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    ops: list[PauliString] = []
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = _HEADER_RE.match(line)
-        if m and header is None and not entries:
+        if m and header is None and not ops:
             header = (int(m.group(1)), int(m.group(2)))
             continue
-        entries.append((line_no, line))
-    return header, entries
-
-
-def _parse_operators(path: str | Path) -> tuple[tuple[int, int] | None, list[PauliString]]:
-    header, entries = _parse_lines(path)
-    ops: list[PauliString] = []
-    for line_no, line in entries:
         try:
             ops.append(parse_pauli(line))
         except ValueError as exc:
@@ -401,13 +386,13 @@ def load_code(path: str | Path) -> StabilizerCode:
     return code
 
 
+def _write_operators(path: str | Path, header_comment: str | None, rows: list[str]) -> None:
+    comments = [f"# {line}" for line in (header_comment or "").splitlines()]
+    Path(path).write_text("\n".join(comments + rows) + "\n")
+
+
 def save_code(code: StabilizerCode, path: str | Path, header_comment: str | None = None) -> None:
-    lines = []
-    if header_comment:
-        lines.extend(f"# {line}" for line in header_comment.splitlines())
-    lines.append(f"{code.n} {code.k}")
-    lines.extend(str(g) for g in code.generators)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_operators(path, header_comment, [f"{code.n} {code.k}", *map(str, code.generators)])
 
 
 def load_checkset(path: str | Path, code: StabilizerCode | None = None) -> CheckSet:
@@ -426,8 +411,4 @@ def load_checkset(path: str | Path, code: StabilizerCode | None = None) -> Check
 
 
 def save_checkset(checkset: CheckSet, path: str | Path, header_comment: str | None = None) -> None:
-    lines = []
-    if header_comment:
-        lines.extend(f"# {line}" for line in header_comment.splitlines())
-    lines.extend(str(op) for op in checkset.operators)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_operators(path, header_comment, list(map(str, checkset.operators)))

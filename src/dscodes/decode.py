@@ -99,10 +99,7 @@ def build_table(checkset: CheckSet, budget: FaultBudget) -> SyndromeTable:
                 raise UncorrectableBudgetError(check_global(checkset, budget))
             if held is None or key < held[0]:
                 best[observed] = (key, e, f, coset)
-    entries = {
-        observed: Fault(BitVector(e, 2 * n), BitVector(f, m))
-        for observed, (_, e, f, _) in best.items()
-    }
+    entries = {observed: Fault.from_ints(e, f, n, m) for observed, (_, e, f, _) in best.items()}
     return SyndromeTable(checkset, budget, entries)
 
 
@@ -165,7 +162,7 @@ def sample_fault(
     if rng is None:
         rng = model.rng()
     errors, _, flips = _sample_block(model, rng.random((1, n + m)), _error_tables(n))
-    return Fault(BitVector(errors[0], 2 * n), BitVector(flips[0], m))
+    return Fault.from_ints(errors[0], flips[0], n, m)
 
 
 def ml_decode(
@@ -215,7 +212,7 @@ def ml_decode(
         return None
     best_coset = min(classes, key=lambda c: (-classes[c], reps[c][0]))
     _, e, f = reps[best_coset]
-    return Fault(BitVector(e, 2 * n), BitVector(f, m))
+    return Fault.from_ints(e, f, n, m)
 
 
 @dataclass(frozen=True)
@@ -239,10 +236,6 @@ class TrialStats:
     @property
     def successes(self) -> int:
         return self.trials - self.decoding_failures
-
-    @property
-    def logical_error_rate(self) -> float:
-        return self.logical_errors / self.trials
 
 
 _DRAW_BLOCK = 4096  # trials whose uniforms run_trials draws at once

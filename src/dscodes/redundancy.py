@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import CheckSet, StabilizerCode, iter_error_syndromes, pure_distance
+from .code import CheckSet, StabilizerCode, iter_error_syndromes, scan_distances
 from .symplectic import RowBasis
 from .verify import FaultBudget, check_global
 
@@ -167,10 +167,17 @@ def _mask_bits(code: StabilizerCode) -> int:
     return r
 
 
-def _attempt_rng(seed: int, attempt: int) -> np.random.Generator:
+def _draw_masks(seed: int, attempt: int, count: int, r: int) -> tuple[int, ...] | None:
+    """``count`` uniform r-bit generator masks, or None if they span less than rank r.
+
+    The generators are independent, so the masks have the rank of the
+    operators they select.
+    """
     # Per-attempt streams keyed by (seed, attempt) so attempt i is the same
     # whether attempts run sequentially or in parallel.
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, attempt))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, attempt))))
+    masks = tuple(rng.integers(0, 1 << r, size=count, dtype=np.uint64).tolist())
+    return masks if RowBasis(masks).rank == r else None
 
 
 def random_augment(
@@ -194,21 +201,18 @@ def random_augment(
     m = math.ceil(r / (1.0 - binary_entropy(cfg.delta)))
     t = math.ceil(cfg.delta * m)
     if pure_dist is None:
-        pure_dist = pure_distance(code, code.n)
+        pure_dist = scan_distances(code, code.n)[1]
         if pure_dist is None:
             raise ValueError("code has no nontrivial commuting operator; not supported")
     elif pure_dist < 1:
         raise ValueError(f"pure_dist must be at least 1, got {pure_dist}")
     rejections = {"rank": 0, "light_syndrome": 0}
     for attempt in range(cfg.max_attempts):
-        rng = _attempt_rng(cfg.seed, attempt)
-        masks = rng.integers(0, 1 << r, size=m, dtype=np.uint64)
-        ops = [code.element(mask) for mask in masks.tolist()]
-        basis = RowBasis(op.error_vector().bits for op in ops)
-        if basis.rank != r:
+        masks = _draw_masks(cfg.seed, attempt, m, r)
+        if masks is None:
             rejections["rank"] += 1
             continue
-        checkset = CheckSet(code, tuple(ops))
+        checkset = CheckSet(code, tuple(map(code.element, masks)))
         ok = True
         for _, s, _ in iter_error_syndromes(checkset, 1, pure_dist - 1):
             if s.bit_count() < t:
@@ -267,9 +271,8 @@ def generator_resynthesis(
     tried = 0
     singular = 0
     for attempt in range(attempts):
-        rng = _attempt_rng(seed, attempt)
-        rows = tuple(int(v) for v in rng.integers(0, 1 << r, size=r, dtype=np.uint64))
-        if RowBasis(rows).rank != r:
+        rows = _draw_masks(seed, attempt, r, r)
+        if rows is None:
             singular += 1
             continue
         tried += 1

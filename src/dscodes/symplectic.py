@@ -76,20 +76,11 @@ class BitVector:
         return cls(1 << i, n)
 
     @classmethod
-    def from_bits(cls, entries: Iterable[int]) -> "BitVector":
-        bits = 0
-        n = 0
-        for e in entries:
-            if e not in (0, 1):
-                raise ValueError(f"entry {e!r} is not an F_2 value")
-            bits |= e << n
-            n += 1
-        return cls(bits, n)
-
-    @classmethod
     def from01(cls, text: str) -> "BitVector":
         """Parse an unspaced 0/1 string, index 0 first."""
-        return cls.from_bits(int(c) for c in text)
+        if set(text) - {"0", "1"}:
+            raise ValueError(f"{text!r} holds a character other than 0 and 1")
+        return cls(int(text[::-1] or "0", 2), len(text))
 
     @property
     def weight(self) -> int:
@@ -107,16 +98,13 @@ class BitVector:
         """Render as an unspaced 0/1 string, index 0 first."""
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
 
-    def tobits(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise DimensionError(f"length mismatch: {self.n} vs {other.n}")
         return BitVector(self.bits ^ other.bits, self.n)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.tobits())
+        return ((self.bits >> i) & 1 for i in range(self.n))
 
     def __str__(self) -> str:
         return self.to01()
@@ -216,9 +204,6 @@ class PauliString:
     def error_vector(self) -> BitVector:
         """The 2n-bit (x part, z part) encoding; x part in the low bits."""
         return BitVector(self.x | (self.z << self.n), 2 * self.n)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        return symplectic_product(self, other) == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .code import CheckSet, Fault, StabilizerCode, iter_error_syndromes, pure_distance
+from .code import CheckSet, Fault, StabilizerCode, iter_error_syndromes, scan_distances
 from .symplectic import BitVector, DimensionError
 
 __all__ = [
@@ -87,6 +87,18 @@ class FaultBudget:
             return False
         return self.combined_max is None or data_weight + flip_weight <= self.combined_max
 
+    @property
+    def caps(self) -> tuple[int, ...]:
+        """caps[w]: the largest flip weight admitted next to data weight w, or -1.
+
+        ``admits`` only bounds the flip weight from above, so the flip
+        weights admitted next to w are exactly 0..caps[w].
+        """
+        return tuple(
+            max((fw for fw in range(self.flip_max + 1) if self.admits(w, fw)), default=-1)
+            for w in range(self.data_max + 1)
+        )
+
     def __str__(self) -> str:
         if self.combined_max is not None:
             return f"sym:{self.combined_max}"
@@ -111,12 +123,11 @@ class CollisionReport:
 
 def fault_count(budget: FaultBudget, n: int, m: int) -> int:
     """Number of faults the budget admits on n qubits and m syndrome bits."""
-    total = 0
-    for dw in range(budget.data_max + 1):
-        for fw in range(budget.flip_max + 1):
-            if budget.admits(dw, fw):
-                total += comb(n, dw) * 3**dw * comb(m, fw)
-    return total
+    return sum(
+        comb(n, dw) * 3**dw * comb(m, fw)
+        for dw, cap in enumerate(budget.caps)
+        for fw in range(cap + 1)
+    )
 
 
 def equivalent_data(code: StabilizerCode, e1: BitVector, e2: BitVector) -> bool:
@@ -153,10 +164,7 @@ def iter_faults(
         [sum(1 << i for i in bits) for bits in itertools.combinations(range(checkset.m), fw)]
         for fw in range(budget.flip_max + 1)
     ]
-    admitted = [
-        tuple(f for fw, layer in enumerate(layers) if budget.admits(dw, fw) for f in layer)
-        for dw in range(budget.data_max + 1)
-    ]
+    admitted = [tuple(itertools.chain(*layers[: cap + 1])) for cap in budget.caps]
     for e, s, dw in iter_error_syndromes(checkset, 0, budget.data_max):
         yield e, s, dw, admitted[dw]
 
@@ -169,10 +177,6 @@ def _refuse_over_cap(budget, n: int, m: int, cap: int = 10**8, pairwise: bool = 
             f"budget {budget} admits {count} faults "
             f"({'pairwise ' if pairwise else ''}cost {cost} > cap {cap})"
         )
-
-
-def _make_fault(e_bits: int, f_bits: int, n: int, m: int) -> Fault:
-    return Fault(BitVector(e_bits, 2 * n), BitVector(f_bits, m))
 
 
 def check_global(
@@ -237,11 +241,7 @@ def check_global(
         lo, hi = best[2], best[3]
         return _collision((lo[1], lo[2]), (hi[1], hi[2]), lo[3], len(faults), n, m)
 
-    # caps[w]: the largest flip weight admitted next to data weight w, or -1.
-    caps = [
-        max((fw for fw in range(budget.flip_max + 1) if budget.admits(w, fw)), default=-1)
-        for w in range(budget.data_max + 1)
-    ]
+    caps = budget.caps
     # (key, e, s, cap) per admitted data error, in canonical key order.
     scan = sorted(
         ((e == 0, _zx_interleaved(e, n)), e, s, caps[w])
@@ -277,7 +277,7 @@ def _collision(lo, hi, observed: int, checked: int, n: int, m: int) -> Collision
     # lo and hi are the (e, f) bits of the least offending pair.
     return CollisionReport(
         ok=False,
-        witness=(_make_fault(*lo, n, m), _make_fault(*hi, n, m)),
+        witness=(Fault.from_ints(*lo, n, m), Fault.from_ints(*hi, n, m)),
         syndrome=BitVector(observed, m),
         reason="two admissible faults with different encoded effects share a syndrome",
         faults_checked=checked,
@@ -307,7 +307,7 @@ def lemma1_check(checkset: CheckSet, d: int) -> CollisionReport:
                 continue
             return CollisionReport(
                 ok=False,
-                witness=(_make_fault(e, 0, n, m), _make_fault(0, 0, n, m)),
+                witness=(Fault.from_ints(e, 0, n, m), Fault.from_ints(0, 0, n, m)),
                 syndrome=BitVector(0, m),
                 reason=f"weight-{w} error below distance {d} has zero syndrome "
                 "but is not a stabilizer element",
@@ -317,7 +317,7 @@ def lemma1_check(checkset: CheckSet, d: int) -> CollisionReport:
         if weight < d - w:
             return CollisionReport(
                 ok=False,
-                witness=(_make_fault(e, 0, n, m), _make_fault(0, s, n, m)),
+                witness=(Fault.from_ints(e, 0, n, m), Fault.from_ints(0, s, n, m)),
                 syndrome=BitVector(s, m),
                 reason=f"weight-{w} error has syndrome weight {weight} < {d - w}",
                 faults_checked=checked,
@@ -339,7 +339,7 @@ def oa_check(code: StabilizerCode, l: int) -> bool:
         return True
     if l > code.n:
         raise ValueError(f"l={l} exceeds qubit count {code.n}")
-    if pure_distance(code, cutoff=min(l, code.n)) is not None:
+    if scan_distances(code, min(l, code.n))[1] is not None:
         raise ValueError(f"l={l} is not below the pure distance")
     r = code.n - code.k
     if r < 2 * l:

@@ -251,7 +251,8 @@ class TestUsageErrors:
 
 # Exit status and sha256 of stdout for a fixed command list: the README
 # examples, the three tables, verify-global passes and witnesses at heavier
-# budgets, the constructions, and an ML simulation.  Stdout is a data
+# budgets, every bound family (both verdicts of symmetric and singleton),
+# the constructions, and an ML simulation.  Stdout is a data
 # contract, so any refactor must leave these byte for byte unchanged.
 # ``{bundled}`` stands for the absolute path of the bundled [[11,1,5]] code.
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "dscodes" / "data" / "code_11_1_5.txt"
@@ -280,6 +281,16 @@ _STDOUT_CONTRACT = [
      "ae6ecb706e62bd82db3bf34779adf55833d73cf9053b86055949bde680fda1c2"),
     ("bound symmetric --n 5 --k 1 --r 1 --t 1", 0,
      "4eb4d349739937c68a45c1102e7d433951dee8ee83f16271e5924dc876c74ed1"),
+    ("bound symmetric --n 5 --k 1 --r 0 --t 1", 1,
+     "9ade2a2fbbec63db2c84517ebaa940353b88823e2e86c94e62cc62f1c1284db3"),
+    ("bound hybrid --nq 0 --nc 7 --tq 0 --tc 1 --s 3", 0,
+     "579c063768af6cf2887b8afe19c6cd1c9605eb485ca51b7f07c91042fd7ef77e"),
+    ("bound gv --n 11 --k 1 --d 3", 0,
+     "df5e21a423325b65c0963eaa0cf2cf46dd1eea2daf7bfb562f22416232ab1bcf"),
+    ("bound singleton --n 4 --k 1 --d 3", 1,
+     "72dfbae52a570b1706fb1cba712433c8cdef23845314460f89cc5be220abc1d6"),
+    ("bound singleton --n 5 --k 1 --d 3", 0,
+     "704a79c6c710165e6d50ef4edaa1fdad071134b7ee1b86aa9cd61d96240b4695"),
     ("augment --code five_qubit --method parity", 0,
      "0c01adb994332bdf66ca3e9b1d15a8d25e1ee84248a1f5591371563070209898"),
     ("augment --code five_qubit --method random --delta 0.25 --seed 7", 0,

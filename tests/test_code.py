@@ -10,12 +10,10 @@ from dscodes.code import (
     Fault,
     StabilizerCode,
     ValidationError,
-    distance,
     five_qubit,
     load_checkset,
     load_code,
     observed_syndrome,
-    pure_distance,
     save_checkset,
     save_code,
     scan_distances,
@@ -145,19 +143,20 @@ class TestDistance:
         assert scan_distances(five, 5) == (3, 3)
 
     def test_steane(self, steane):
-        assert distance(steane, 7) == 3
+        assert scan_distances(steane, 7)[0] == 3
 
     def test_single_generator_toy_code(self):
         code = StabilizerCode.from_strings(["ZZ"])
-        assert pure_distance(code, 2) == 1
-        assert distance(code, 2) == 1
+        d, d_pure = scan_distances(code, 2)
+        assert d_pure == 1
+        assert d == 1
 
     def test_cutoff_reported(self, five):
-        assert distance(five, 2) is None
+        assert scan_distances(five, 2)[0] is None
 
     def test_cutoff_beyond_n_rejected(self, five):
         with pytest.raises(ValueError):
-            distance(five, 6)
+            scan_distances(five, 6)
 
 
 class TestCodeFiles:
@@ -195,6 +194,39 @@ class TestCodeFiles:
         path.write_text("5 2\nXZZXI\nIXZZX\nXIXZZ\nZXIXZ\n")
         with pytest.raises(CodeFileError, match="k=2"):
             load_code(path)
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("# c\n5 1\n\n# more\nXZZXI\nXQ\n", 6),  # bad operator after header and comments
+            ("# c\nXZZXI\n5 1\n", 3),  # an "n k" line after an operator is no header
+        ],
+    )
+    def test_bad_line_number(self, tmp_path, text, line_no):
+        path = tmp_path / "bad.code"
+        path.write_text(text)
+        with pytest.raises(CodeFileError) as err:
+            load_code(path)
+        assert err.value.line_no == line_no
+
+    # Exact file contents for each way of giving (or omitting) a comment.
+    FIVE_ROWS = "XZZXI\nIXZZX\nXIXZZ\nZXIXZ\n"
+
+    @pytest.mark.parametrize(
+        "comment, prefix", [(None, ""), ("", ""), ("a\nb", "# a\n# b\n")]
+    )
+    def test_saved_code_bytes(self, tmp_path, five, comment, prefix):
+        path = tmp_path / "five.code"
+        save_code(five, path, header_comment=comment)
+        assert path.read_bytes() == (prefix + "5 1\n" + self.FIVE_ROWS).encode()
+
+    @pytest.mark.parametrize(
+        "comment, prefix", [(None, ""), ("", ""), ("a\nb", "# a\n# b\n")]
+    )
+    def test_saved_checkset_bytes(self, tmp_path, augmented_five, comment, prefix):
+        path = tmp_path / "aug.checks"
+        save_checkset(augmented_five, path, header_comment=comment)
+        assert path.read_bytes() == (prefix + self.FIVE_ROWS + "ZZXIX\n").encode()
 
     def test_checkset_roundtrip(self, tmp_path, augmented_five):
         path = tmp_path / "aug.checks"

@@ -137,7 +137,25 @@ class TestRandomAugment:
         with pytest.raises(SearchFailure) as err:
             random_augment(five, cfg)
         assert err.value.attempts == 1
-        assert err.value.stats["light_syndrome"] + err.value.stats["rank"] == 1
+        assert err.value.stats == {"rank": 0, "light_syndrome": 1}
+
+    def test_rank_rejections_are_counted(self, five):
+        # At delta = 0.01 the draw has m = 5 rows for r = 4; seed 1 draws
+        # two rank-deficient sets in a row.
+        with pytest.raises(SearchFailure) as err:
+            random_augment(five, RandomSearchConfig(0.01, 1, 2))
+        assert err.value.attempts == 2
+        assert err.value.stats == {"rank": 2, "light_syndrome": 0}
+
+    def test_accepted_after_a_rank_rejection(self, five):
+        with pytest.raises(SearchFailure) as err:
+            random_augment(five, RandomSearchConfig(0.01, 3, 1))
+        assert err.value.stats == {"rank": 1, "light_syndrome": 0}
+        result = random_augment(five, RandomSearchConfig(0.01, 3, 2))
+        assert (result.attempts, result.m, result.t) == (2, 5, 1)
+        assert [str(op) for op in result.checkset.operators] == [
+            "ZZXIX", "XIXZZ", "YYZIZ", "XXYIY", "YXXYI"
+        ]
 
     def test_zero_attempts_rejected(self):
         with pytest.raises(ValueError):
@@ -182,6 +200,12 @@ class TestGeneratorResynthesis:
         with pytest.raises(SearchFailure) as err:
             generator_resynthesis(five, FaultBudget.symmetric(1), attempts=120, seed=9)
         assert err.value.stats["invertible_tried"] > 0
+
+    def test_singular_draws_are_counted(self, five):
+        with pytest.raises(SearchFailure) as err:
+            generator_resynthesis(five, FaultBudget.symmetric(1), attempts=200, seed=11)
+        assert err.value.attempts == 200
+        assert err.value.stats == {"invertible_tried": 63, "singular_skipped": 137}
 
 
 class TestMaskWidthLimit:

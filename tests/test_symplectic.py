@@ -236,3 +236,12 @@ class TestBitVector:
 
     def test_unit(self):
         assert BitVector.unit(2, 4).to01() == "0010"
+
+    @pytest.mark.parametrize("text", ["012", "01a", "0 1", "-1", "0_1"])
+    def test_from01_refuses_other_characters(self, text):
+        with pytest.raises(ValueError):
+            BitVector.from01(text)
+
+    def test_from01_empty_and_iteration(self):
+        assert BitVector.from01("") == BitVector(0, 0)
+        assert list(BitVector.from01("1101")) == [1, 1, 0, 1]

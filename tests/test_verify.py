@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from math import comb
 from pathlib import Path
@@ -209,6 +210,41 @@ wide_budgets = st.one_of(
     st.integers(0, 3).map(FaultBudget.symmetric),
     st.tuples(st.integers(0, 2), st.integers(0, 3)).map(lambda ab: FaultBudget.asymmetric(*ab)),
 )
+
+
+budget_grid = st.one_of(
+    st.integers(0, 4).map(FaultBudget.symmetric),
+    st.tuples(st.integers(0, 3), st.integers(0, 4)).map(lambda ab: FaultBudget.asymmetric(*ab)),
+)
+
+
+class TestBudgetRule:
+    @given(budget_grid)
+    def test_caps_are_largest_admitted_flip_weight(self, budget):
+        assert len(budget.caps) == budget.data_max + 1
+        for w, cap in enumerate(budget.caps):
+            admitted = [fw for fw in range(budget.flip_max + 1) if budget.admits(w, fw)]
+            assert cap == max(admitted, default=-1)
+
+    @given(small_checksets(), budget_grid)
+    @settings(max_examples=40, deadline=None)
+    def test_fault_count_and_flip_masks(self, checkset, budget):
+        # Reference flips: every mask whose weight the budget admits next to
+        # the data weight, by weight and then combination order.
+        m = checkset.m
+        layers = [
+            [sum(1 << i for i in bits) for bits in itertools.combinations(range(m), fw)]
+            for fw in range(budget.flip_max + 1)
+        ]
+        expected = {
+            dw: tuple(f for fw, layer in enumerate(layers) if budget.admits(dw, fw) for f in layer)
+            for dw in range(budget.data_max + 1)
+        }
+        total = 0
+        for _, _, dw, flips in iter_faults(checkset, budget):
+            assert flips == expected[dw]
+            total += len(flips)
+        assert fault_count(budget, checkset.n, m) == total
 
 
 class TestCanonicalOrder:
