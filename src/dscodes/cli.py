@@ -96,11 +96,16 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _print_witness(report, out) -> None:
+def _verdict(report, ok_line: str, out) -> int:
+    """Print ``ok_line`` and return 0 on a pass, else the witness lines and 1."""
+    if report.ok:
+        print(ok_line, file=out)
+        return 0
     a, b = report.witness
     print(f"collision: {a.describe()} | {b.describe()} | syndrome={_syndrome_cell(report.syndrome)}", file=out)
     if report.reason:
         print(f"reason: {report.reason}", file=out)
+    return 1
 
 
 def _cmd_verify_global(args) -> int:
@@ -109,21 +114,15 @@ def _cmd_verify_global(args) -> int:
     report = verify.check_global(
         checkset, budget, all_pairs=args.all_pairs, candidate_cap=args.cap
     )
-    if report.ok:
-        print(f"ok: {report.faults_checked} faults within {budget} all distinguishable", file=args.out)
-        return 0
-    _print_witness(report, args.out)
-    return 1
+    ok_line = f"ok: {report.faults_checked} faults within {budget} all distinguishable"
+    return _verdict(report, ok_line, args.out)
 
 
 def _cmd_verify_lemma1(args) -> int:
     checkset = _load_checkset_arg(args.checkset, args.code)
     report = verify.lemma1_check(checkset, args.d)
-    if report.ok:
-        print(f"ok: {report.faults_checked} errors below weight {args.d} all safely detected", file=args.out)
-        return 0
-    _print_witness(report, args.out)
-    return 1
+    ok_line = f"ok: {report.faults_checked} errors below weight {args.d} all safely detected"
+    return _verdict(report, ok_line, args.out)
 
 
 def _cmd_verify_oa(args) -> int:
@@ -166,10 +165,7 @@ def _emit_checkset(checkset: CheckSet, args, extra: str = "") -> None:
     if args.output:
         code_mod.save_checkset(checkset, args.output, header)
     else:
-        for line in header.splitlines():
-            print(f"# {line}", file=args.out)
-        for op in checkset.operators:
-            print(str(op), file=args.out)
+        args.out.write(code_mod._operator_text(header, checkset.operators))
 
 
 def _random_draw(code: StabilizerCode, args) -> tuple[CheckSet, str]:

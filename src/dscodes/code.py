@@ -97,8 +97,6 @@ class StabilizerCode:
         for i, g in enumerate(gens):
             if not basis.add(g.error_vector().bits):
                 raise ValidationError(f"generator {i} depends on the previous ones")
-        if len(gens) > n:
-            raise ValidationError(f"{len(gens)} generators exceed {n} qubits")
 
     @classmethod
     def from_strings(cls, texts: Iterable[str]) -> "StabilizerCode":
@@ -210,10 +208,7 @@ class Fault:
     @property
     def data_weight(self) -> int:
         """Pauli weight (touched qubits) of the data part."""
-        n = self.data.n // 2
-        mask = (1 << n) - 1
-        bits = self.data.bits
-        return ((bits | (bits >> n)) & mask).bit_count()
+        return self.data_pauli().weight
 
     @property
     def flip_weight(self) -> int:
@@ -386,13 +381,15 @@ def load_code(path: str | Path) -> StabilizerCode:
     return code
 
 
-def _write_operators(path: str | Path, header_comment: str | None, rows: list[str]) -> None:
+def _operator_text(header_comment: str | None, rows: Iterable[object]) -> str:
+    """The operator format, for files and stdout alike: each header comment
+    line behind "# ", then one row per line, newline-terminated."""
     comments = [f"# {line}" for line in (header_comment or "").splitlines()]
-    Path(path).write_text("\n".join(comments + rows) + "\n")
+    return "\n".join(comments + [str(row) for row in rows]) + "\n"
 
 
 def save_code(code: StabilizerCode, path: str | Path, header_comment: str | None = None) -> None:
-    _write_operators(path, header_comment, [f"{code.n} {code.k}", *map(str, code.generators)])
+    Path(path).write_text(_operator_text(header_comment, [f"{code.n} {code.k}", *code.generators]))
 
 
 def load_checkset(path: str | Path, code: StabilizerCode | None = None) -> CheckSet:
@@ -411,4 +408,4 @@ def load_checkset(path: str | Path, code: StabilizerCode | None = None) -> Check
 
 
 def save_checkset(checkset: CheckSet, path: str | Path, header_comment: str | None = None) -> None:
-    _write_operators(path, header_comment, list(map(str, checkset.operators)))
+    Path(path).write_text(_operator_text(header_comment, checkset.operators))

@@ -45,10 +45,7 @@ class UncorrectableBudgetError(ValueError):
 
 
 def _reversed_bits(word: int, width: int) -> int:
-    out = 0
-    for i in range(width):
-        out |= ((word >> i) & 1) << (width - 1 - i)
-    return out
+    return int(f"{word:0{width}b}"[::-1], 2)
 
 
 def _table_key(e_bits: int, f_bits: int, dw: int, fw: int, n: int, m: int):
@@ -90,9 +87,8 @@ def build_table(checkset: CheckSet, budget: FaultBudget) -> SyndromeTable:
     best: dict[int, tuple[tuple, int, int, int]] = {}
     for e, s, dw, flips in iter_faults(checkset, budget):
         coset = reduce(e)
-        e_key = _reversed_bits(e, 2 * n)
         for f in flips:
-            key = (dw + f.bit_count(), e_key, _reversed_bits(f, m))  # _table_key's order
+            key = _table_key(e, f, dw, f.bit_count(), n, m)
             observed = s ^ f
             held = best.get(observed)
             if held is not None and held[3] != coset:

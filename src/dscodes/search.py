@@ -147,7 +147,7 @@ class _Searcher:
         span = RowBasis(others)
         while True:
             v = _combine(basis, int(self.rng.integers(0, 1 << len(basis))))
-            if v and not span.contains(v):
+            if not span.contains(v):
                 return v
 
     def _set_row(self, i: int, v: int) -> None:
@@ -199,7 +199,7 @@ class _Searcher:
                 span = RowBasis(others)
                 for idx in pool.tolist():
                     v = _combine(sidespace, idx)
-                    if v and not span.contains(v):
+                    if not span.contains(v):
                         self._set_row(i, v)
                         break
             now = self.cost()
@@ -238,7 +238,7 @@ class _Searcher:
                 if missed[idx] > free_dim + _PAIR_SLACK:
                     break
                 vi = _combine(sidespace, idx)
-                if not vi or span8.contains(vi):
+                if span8.contains(vi):
                     continue
                 eqs = commute_eqs + [(_swap_halves(vi, self.n), 0)]
                 eqs += [(undetected[t], 1) for t in _set_bits(everything ^ hits[idx])]
@@ -248,7 +248,7 @@ class _Searcher:
                 particular, basis = solved
                 span9 = RowBasis(others + [vi])
                 for vj in [particular] + [particular ^ b for b in basis]:
-                    if vj and not span9.contains(vj):
+                    if not span9.contains(vj):
                         self._set_row(i, vi)
                         self._set_row(j, vj)
                         return True
@@ -304,8 +304,8 @@ def find_distance_code(
             gens = tuple(PauliString(n, row & mask, row >> n) for row in searcher.rows)
             code = StabilizerCode(gens)
             certified = scan_distances(code, target_d)
-            d, d_pure = certified
-            if (d is not None and d < target_d) or (d_pure is not None and d_pure < target_d):
+            d_pure = certified[1]  # at most d whenever d exists, so it decides alone
+            if d_pure is not None and d_pure < target_d:
                 raise AssertionError("zero-cost state failed certification; cost model bug")
             return SearchOutcome(code, seed, restart, certified)
     return None

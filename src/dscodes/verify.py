@@ -293,6 +293,10 @@ def lemma1_check(checkset: CheckSet, d: int) -> CollisionReport:
     logical error.  The condition is exact: two colliding ``sym:t`` faults
     differ by an e outside the stabilizer with wt(e) + wt(s(e)) <= 2t, and
     any such e splits into two colliding ``sym:t`` faults.
+
+    The first failing e in enumeration order is reported by one witness
+    rule: (e, no flips) against (no data error, flips s(e)), which collide
+    at s(e).  Only the reason tells a zero syndrome from a light one.
     """
     if d < 1:
         raise ValueError(f"distance parameter must be positive, got {d}")
@@ -302,26 +306,21 @@ def lemma1_check(checkset: CheckSet, d: int) -> CollisionReport:
     checked = 0
     for e, s, w in iter_error_syndromes(checkset, 1, d - 1):
         checked += 1
-        if s == 0:
-            if basis.contains(e):
-                continue
-            return CollisionReport(
-                ok=False,
-                witness=(Fault.from_ints(e, 0, n, m), Fault.from_ints(0, 0, n, m)),
-                syndrome=BitVector(0, m),
-                reason=f"weight-{w} error below distance {d} has zero syndrome "
-                "but is not a stabilizer element",
-                faults_checked=checked,
-            )
         weight = s.bit_count()
-        if weight < d - w:
-            return CollisionReport(
-                ok=False,
-                witness=(Fault.from_ints(e, 0, n, m), Fault.from_ints(0, s, n, m)),
-                syndrome=BitVector(s, m),
-                reason=f"weight-{w} error has syndrome weight {weight} < {d - w}",
-                faults_checked=checked,
-            )
+        if weight >= d - w or (s == 0 and basis.contains(e)):
+            continue
+        if s == 0:
+            reason = (f"weight-{w} error below distance {d} has zero syndrome "
+                      "but is not a stabilizer element")
+        else:
+            reason = f"weight-{w} error has syndrome weight {weight} < {d - w}"
+        return CollisionReport(
+            ok=False,
+            witness=(Fault.from_ints(e, 0, n, m), Fault.from_ints(0, s, n, m)),
+            syndrome=BitVector(s, m),
+            reason=reason,
+            faults_checked=checked,
+        )
     return CollisionReport(ok=True, faults_checked=checked)
 
 

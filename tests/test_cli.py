@@ -251,8 +251,9 @@ class TestUsageErrors:
 
 # Exit status and sha256 of stdout for a fixed command list: the README
 # examples, the three tables, verify-global passes and witnesses at heavier
-# budgets, every bound family (both verdicts of symmetric and singleton),
-# the constructions, and an ML simulation.  Stdout is a data
+# budgets and over a given base code, both verify-lemma1 verdicts, every
+# bound family (both verdicts of symmetric and singleton), the
+# constructions, and an ML simulation.  Stdout is a data
 # contract, so any refactor must leave these byte for byte unchanged.
 # ``{bundled}`` stands for the absolute path of the bundled [[11,1,5]] code.
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "dscodes" / "data" / "code_11_1_5.txt"
@@ -277,6 +278,10 @@ _STDOUT_CONTRACT = [
      "b08156b16a74ca2a0e5013414c75a367c03910ee417545aa816948392cb5f27a"),
     ("verify-lemma1 --checkset five_qubit --d 3", 1,
      "7aa36febcf534209cb9d3a44c122ec5eb790e64a867c858455415f5537af13a6"),
+    ("verify-lemma1 --checkset steane_alt --d 3", 0,
+     "8f95df10662239123967a6baa28ce89bde5008470b3be1c730e3b55a0d9c5907"),
+    ("verify-global --checkset steane_alt --code steane_css --budget sym:1", 0,
+     "4f84fef05a63eafaf8955b710b291875c7c957e651502b7928d7984fedf9f0e3"),
     ("verify-oa --code five_qubit --l 2", 0,
      "ae6ecb706e62bd82db3bf34779adf55833d73cf9053b86055949bde680fda1c2"),
     ("bound symmetric --n 5 --k 1 --r 1 --t 1", 0,
@@ -314,3 +319,16 @@ _STDOUT_CONTRACT = [
 def test_stdout_contract(argv, status, digest):
     got_status, text = run([word.format(bundled=BUNDLED) for word in argv.split()])
     assert (got_status, hashlib.sha256(text.encode()).hexdigest()) == (status, digest)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "augment --code five_qubit --method parity",
+        "resynth --code steane_css --budget sym:1 --attempts 2000 --seed 5",
+    ],
+)
+def test_output_file_holds_the_stdout_bytes(argv, tmp_path):
+    path = tmp_path / "F"
+    assert run(argv.split() + ["--output", str(path)]) == (0, "")
+    assert path.read_bytes() == run(argv.split())[1].encode()

@@ -21,7 +21,7 @@ from dscodes.code import (
     steane_css,
     syndrome,
 )
-from dscodes.symplectic import BitVector, DimensionError, multiply, parse_pauli
+from dscodes.symplectic import BitVector, DimensionError, PauliString, multiply, parse_pauli
 
 from reference_tables import FIVE_QUBIT_TABLE
 
@@ -56,6 +56,20 @@ class TestValidation:
     def test_anticommuting_rejected(self):
         with pytest.raises(ValidationError, match="0 and 1"):
             StabilizerCode.from_strings(["XX", "ZI"])
+
+    def test_anticommuting_extra_rows_rejected(self):
+        rows = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ", "XXXXX", "ZZZZZ"]
+        with pytest.raises(ValidationError, match="anticommute"):
+            StabilizerCode.from_strings(rows)
+
+    @given(st.integers(1, 4), st.booleans(), st.data())
+    def test_more_rows_than_qubits_never_construct(self, n, z_only, data):
+        """n+1 commuting independent rows would span an isotropic space above
+        dimension n; Z-only rows all commute, so they reach the independence test."""
+        masks = st.integers(0, 2**n - 1)
+        rows = data.draw(st.lists(st.tuples(masks, masks), min_size=n + 1, max_size=n + 1))
+        with pytest.raises(ValidationError):
+            StabilizerCode(tuple(PauliString(n, 0 if z_only else x, z) for x, z in rows))
 
     def test_dependent_rejected(self):
         with pytest.raises(ValidationError, match="depends"):

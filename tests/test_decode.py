@@ -15,6 +15,7 @@ from dscodes.code import (
 from dscodes.decode import (
     _DRAW_BLOCK,
     NoiseModel,
+    _reversed_bits,
     _sample_block,
     _table_key,
     UncorrectableBudgetError,
@@ -43,6 +44,45 @@ def table_ii(augmented_five):
 @pytest.fixture(scope="module")
 def data_only_table(bare_five):
     return build_table(bare_five, FaultBudget.asymmetric(1, 0))
+
+
+@st.composite
+def words_with_width(draw):
+    width = draw(st.integers(0, 70))
+    return draw(st.integers(0, (1 << width) - 1)), width
+
+
+@st.composite
+def distinct_faults(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    pairs = st.tuples(st.integers(0, 4**n - 1), st.integers(0, 2**m - 1))
+    return n, m, draw(st.lists(pairs, min_size=2, max_size=16, unique=True))
+
+
+class TestTableKey:
+    @given(words_with_width())
+    @settings(max_examples=300)
+    def test_reversed_bits_reverses_each_bit(self, case):
+        word, width = case
+        expected = sum(((word >> i) & 1) << (width - 1 - i) for i in range(width))
+        assert _reversed_bits(word, width) == expected
+
+    @given(distinct_faults())
+    @settings(max_examples=200)
+    def test_order_is_the_documented_tie_rule(self, case):
+        """Least combined weight, then the data and flip bit strings, index 0 first."""
+        n, m, pairs = case
+        faults = [Fault.from_ints(e, f, n, m) for e, f in pairs]
+
+        def key(fault):
+            e, f = fault.data.bits, fault.flips.bits
+            return _table_key(e, f, fault.data_weight, fault.flip_weight, n, m)
+
+        def documented(fault):
+            return (fault.combined_weight, fault.data.to01(), fault.flips.to01())
+
+        assert sorted(faults, key=key) == sorted(faults, key=documented)
 
 
 class TestBuildTable:

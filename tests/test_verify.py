@@ -16,10 +16,12 @@ from dscodes.code import (
     iter_error_syndromes,
     load_code,
     observed_syndrome,
+    scan_distances,
     steane_css,
 )
 from dscodes.decode import UncorrectableBudgetError, _table_key, build_table
 from dscodes.redundancy import css_parity_pair, double_construction, parity_augment
+from dscodes.search import find_distance_code
 from dscodes.symplectic import BitVector, parse_pauli
 from dscodes.verify import (
     CandidateCapError,
@@ -354,6 +356,17 @@ class TestLemma1:
         assert report.witness[0].data_weight == 1
         assert "syndrome weight 1" in report.reason
 
+    def test_zero_syndrome_logical_report(self):
+        # Z on qubit 0 commutes with the bit-flip code's checks but is no
+        # stabilizer element: the report pairs it with the empty fault.
+        checkset = CheckSet.from_code(StabilizerCode.from_strings(["ZZI", "IZZ"]))
+        report = lemma1_check(checkset, 2)
+        assert (report.ok, report.faults_checked, report.syndrome.to01()) == (False, 3, "00")
+        assert [w.describe() for w in report.witness] == ["data=ZII flips=00", "data=III flips=00"]
+        assert report.reason == (
+            "weight-1 error below distance 2 has zero syndrome but is not a stabilizer element"
+        )
+
     def test_vacuous_at_d1(self, bare_five):
         assert lemma1_check(bare_five, 1).ok
 
@@ -412,6 +425,21 @@ class TestOaCheck:
     def test_all_l_below_pure_distance(self, steane):
         for l in (1, 2):
             assert oa_check(steane, l)
+
+    @given(
+        st.sampled_from([(4, 1, 2), (5, 1, 2), (5, 1, 3), (6, 2, 2), (7, 1, 2), (7, 1, 3)]),
+        st.integers(0, 50),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_uniform_below_pure_distance_on_searched_codes(self, nkd, seed):
+        outcome = find_distance_code(*nkd, seed)
+        assume(outcome is not None)
+        code = outcome.code
+        d_pure = scan_distances(code, code.n)[1]
+        for l in range(1, d_pure):
+            assert oa_check(code, l)
+        with pytest.raises(ValueError, match="pure distance"):
+            oa_check(code, d_pure)
 
 
 class TestBounds:
